@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "harness/qerror.h"
 #include "util/serde.h"
@@ -28,11 +29,11 @@ struct FeedbackStore::Entry {
   mutable std::mutex ring_mutex;
   std::vector<double> ratios;
 
-  Entry(std::string k, std::string d)
-      : key(std::move(k)), display(std::move(d)) {}
+  Entry(std::string k, std::string_view d) : key(std::move(k)), display(d) {}
 };
 
-FeedbackStore::FeedbackStore(FeedbackOptions options) : options_(options) {
+FeedbackStore::FeedbackStore(FeedbackOptions options)
+    : options_(options), classes_(options.max_classes) {
   if (options_.max_classes < 1) options_.max_classes = 1;
   if (options_.ring_capacity < 1) options_.ring_capacity = 1;
   if (options_.min_samples < 1) options_.min_samples = 1;
@@ -48,41 +49,6 @@ std::string FeedbackStore::ClassKey(std::string_view estimator,
   key.push_back('|');
   key.append(class_code);
   return key;
-}
-
-std::shared_ptr<FeedbackStore::Entry> FeedbackStore::FindOrCreate(
-    std::string_view key, std::string_view display) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = classes_.find(key);
-    if (it != classes_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = classes_.find(key);
-  if (it != classes_.end()) return it->second;
-  if (classes_.size() >= options_.max_classes) EvictOneLocked();
-  auto entry =
-      std::make_shared<Entry>(std::string(key), std::string(display));
-  classes_.emplace(entry->key, entry);
-  return entry;
-}
-
-void FeedbackStore::EvictOneLocked() {
-  // Same deterministic policy as the scorecard: fewest hits first, ties
-  // toward the lexicographically greatest key.
-  auto victim = classes_.end();
-  for (auto it = classes_.begin(); it != classes_.end(); ++it) {
-    if (victim == classes_.end()) {
-      victim = it;
-      continue;
-    }
-    const uint64_t h = it->second->hits.load(std::memory_order_relaxed);
-    const uint64_t vh = victim->second->hits.load(std::memory_order_relaxed);
-    if (h < vh || (h == vh && it->first > victim->first)) victim = it;
-  }
-  if (victim == classes_.end()) return;
-  classes_.erase(victim);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 double FeedbackStore::ComputeCorrection(
@@ -125,7 +91,7 @@ std::optional<FeedbackUpdate> FeedbackStore::Record(std::string_view key,
   const double ratio = std::log(truth / estimate);
   if (!std::isfinite(ratio)) return std::nullopt;
 
-  const std::shared_ptr<Entry> entry = FindOrCreate(key, display);
+  const std::shared_ptr<Entry> entry = classes_.FindOrCreate(key, display);
   entry->hits.fetch_add(1, std::memory_order_relaxed);
 
   double correction;
@@ -167,23 +133,17 @@ std::optional<FeedbackUpdate> FeedbackStore::Record(std::string_view key,
 }
 
 double FeedbackStore::CorrectionFor(std::string_view key) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = classes_.find(key);
-  if (it == classes_.end()) return 1.0;
-  if (!it->second->active.load(std::memory_order_relaxed)) return 1.0;
-  return it->second->correction.load(std::memory_order_relaxed);
+  const std::shared_ptr<Entry> entry = classes_.Find(key);
+  if (entry == nullptr || !entry->active.load(std::memory_order_relaxed)) {
+    return 1.0;
+  }
+  return entry->correction.load(std::memory_order_relaxed);
 }
 
 std::string FeedbackStore::Serialize() const {
-  // Copy the entry pointers out under the shared lock, then walk each
-  // ring under its own mutex — the exact locking the recording path
-  // uses, so serialization can run against live traffic.
-  std::vector<std::shared_ptr<Entry>> entries;
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    entries.reserve(classes_.size());
-    for (const auto& [key, entry] : classes_) entries.push_back(entry);
-  }
+  // Walk each ring under its own mutex — the exact locking the recording
+  // path uses, so serialization can run against live traffic.
+  std::vector<std::shared_ptr<Entry>> entries = classes_.Entries();
   std::sort(entries.begin(), entries.end(),
             [](const std::shared_ptr<Entry>& a,
                const std::shared_ptr<Entry>& b) { return a->key < b->key; });
@@ -250,11 +210,8 @@ util::Status FeedbackStore::Deserialize(std::string_view bytes,
     }
 
     // Existing entries win: live learning is newer than the snapshot.
-    {
-      std::shared_lock<std::shared_mutex> lock(mutex_);
-      if (classes_.find(*key) != classes_.end()) continue;
-    }
-    const std::shared_ptr<Entry> entry = FindOrCreate(*key, *display);
+    if (classes_.Find(*key) != nullptr) continue;
+    const std::shared_ptr<Entry> entry = classes_.FindOrCreate(*key, *display);
     std::lock_guard<std::mutex> lock(entry->ring_mutex);
     if (!entry->ratios.empty()) continue;  // raced a live recording
     entry->ratios = std::move(ratios);
@@ -269,12 +226,7 @@ util::Status FeedbackStore::Deserialize(std::string_view bytes,
 }
 
 std::vector<FeedbackClassReport> FeedbackStore::Report() const {
-  std::vector<std::shared_ptr<Entry>> entries;
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    entries.reserve(classes_.size());
-    for (const auto& [key, entry] : classes_) entries.push_back(entry);
-  }
+  const auto entries = classes_.Entries();
   std::vector<FeedbackClassReport> reports;
   reports.reserve(entries.size());
   for (const auto& entry : entries) {
@@ -298,24 +250,19 @@ std::vector<FeedbackClassReport> FeedbackStore::Report() const {
   return reports;
 }
 
-size_t FeedbackStore::class_count() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return classes_.size();
-}
+size_t FeedbackStore::class_count() const { return classes_.size(); }
+
+uint64_t FeedbackStore::evictions() const { return classes_.evictions(); }
 
 size_t FeedbackStore::active_count() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
   size_t active = 0;
-  for (const auto& [key, entry] : classes_) {
+  for (const auto& entry : classes_.Entries()) {
     if (entry->active.load(std::memory_order_relaxed)) ++active;
   }
   return active;
 }
 
-void FeedbackStore::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  classes_.clear();
-}
+void FeedbackStore::Clear() { classes_.Clear(); }
 
 uint64_t FeedbackStore::CountSerializedClasses(std::string_view bytes) {
   util::serde::Reader reader(bytes);

@@ -18,9 +18,9 @@
 // newer observations higher, so a shifting workload re-learns instead
 // of averaging across regimes.
 //
-// The table is bounded like the scorecard: inserting past `max_classes`
-// deterministically evicts the class with the fewest hits (ties break
-// toward the greatest key). Lookup (the serve-time path) is a
+// The table is a util::ClassTable, as in the scorecard: inserting past
+// `max_classes` deterministically evicts the class with the fewest hits
+// (ties break toward the greatest key). Lookup (the serve-time path) is a
 // shared-lock hash find plus one relaxed atomic load; recording takes
 // only the class's own mutex and runs off the request hot path.
 //
@@ -36,16 +36,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "util/class_table.h"
 #include "util/status.h"
 
 namespace cegraph::learn {
@@ -144,9 +140,7 @@ class FeedbackStore {
 
   size_t class_count() const;
   size_t active_count() const;
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t evictions() const;
 
   /// Drops every class (the stamp survives). Used by tests and the
   /// drift guard's discard path.
@@ -162,30 +156,13 @@ class FeedbackStore {
  private:
   struct Entry;
 
-  std::shared_ptr<Entry> FindOrCreate(std::string_view key,
-                                      std::string_view display);
-  void EvictOneLocked();
-
   /// exp(decay-weighted median of `ratios`), clamped. `ratios` is
   /// ordered oldest -> newest.
   double ComputeCorrection(const std::vector<double>& ratios) const;
 
   FeedbackOptions options_;
-
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  mutable std::shared_mutex mutex_;  // guards the map structure only
-  std::unordered_map<std::string, std::shared_ptr<Entry>, StringHash,
-                     std::equal_to<>>
-      classes_;
-
+  util::ClassTable<Entry> classes_;
   std::atomic<uint64_t> stamp_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 /// The 64-bit graph stamp corrections are tied to: an FNV-style mix of

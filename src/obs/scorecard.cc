@@ -24,12 +24,20 @@ struct Scorecard::Entry {
   mutable std::mutex worst_mutex;
   ScorecardExemplar worst;  // guarded by worst_mutex
 
-  Entry(std::string k, std::string d, const WindowSpec& spec)
-      : key(std::move(k)), display(std::move(d)), qerror(spec) {}
+  Entry(std::string k, std::string_view d, const WindowSpec& spec)
+      : key(std::move(k)), display(d), qerror(spec) {}
 };
 
-Scorecard::Scorecard(ScorecardOptions options) : options_(options) {
-  if (options_.max_classes < 1) options_.max_classes = 1;
+Scorecard::Scorecard(ScorecardOptions options)
+    : options_(options),
+      // An evicted drifted class leaves the gauge. The exchange makes this
+      // and a concurrent StampBaselineAt decrement at most once between
+      // them.
+      classes_(options.max_classes, [this](Entry& evicted) {
+        if (evicted.drifted.exchange(false, std::memory_order_relaxed)) {
+          drifted_count_.fetch_add(-1, std::memory_order_relaxed);
+        }
+      }) {
   if (options_.drift_ratio < 1.0) options_.drift_ratio = 1.0;
 }
 
@@ -38,59 +46,20 @@ void Scorecard::SetDriftCallback(DriftCallback callback) {
   drift_callback_ = std::move(callback);
 }
 
-size_t Scorecard::class_count() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return classes_.size();
-}
+size_t Scorecard::class_count() const { return classes_.size(); }
+
+uint64_t Scorecard::evictions() const { return classes_.evictions(); }
 
 size_t Scorecard::drifted_classes() const {
   const int64_t n = drifted_count_.load(std::memory_order_relaxed);
   return n > 0 ? static_cast<size_t>(n) : 0;
 }
 
-std::shared_ptr<Scorecard::Entry> Scorecard::FindOrCreate(
-    const ScorecardSample& sample) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = classes_.find(sample.class_key);
-    if (it != classes_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = classes_.find(sample.class_key);
-  if (it != classes_.end()) return it->second;
-  if (classes_.size() >= options_.max_classes) EvictOneLocked();
-  auto entry = std::make_shared<Entry>(
-      std::string(sample.class_key),
-      std::string(sample.display.empty() ? sample.line : sample.display),
-      options_.window);
-  classes_.emplace(entry->key, entry);
-  return entry;
-}
-
-void Scorecard::EvictOneLocked() {
-  // Deterministic: fewest hits goes first; ties break toward the
-  // lexicographically greatest key, so repeated runs evict identically.
-  auto victim = classes_.end();
-  for (auto it = classes_.begin(); it != classes_.end(); ++it) {
-    if (victim == classes_.end()) {
-      victim = it;
-      continue;
-    }
-    const uint64_t h = it->second->hits.load(std::memory_order_relaxed);
-    const uint64_t vh = victim->second->hits.load(std::memory_order_relaxed);
-    if (h < vh || (h == vh && it->first > victim->first)) victim = it;
-  }
-  if (victim == classes_.end()) return;
-  if (victim->second->drifted.load(std::memory_order_relaxed)) {
-    drifted_count_.fetch_add(-1, std::memory_order_relaxed);
-  }
-  classes_.erase(victim);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void Scorecard::RecordAt(const ScorecardSample& sample, int64_t now_sec) {
   if (!harness::UsableQError(sample.qerror)) return;
-  const std::shared_ptr<Entry> entry = FindOrCreate(sample);
+  const std::shared_ptr<Entry> entry = classes_.FindOrCreate(
+      sample.class_key, sample.display.empty() ? sample.line : sample.display,
+      options_.window);
   entry->qerror.RecordAt(sample.qerror, now_sec);
   const uint64_t hit = entry->hits.fetch_add(1, std::memory_order_relaxed) + 1;
   if (sample.estimate < sample.truth) {
@@ -154,8 +123,7 @@ void Scorecard::EvaluateDrift(Entry& entry, int64_t now_sec) {
 }
 
 void Scorecard::StampBaselineAt(int64_t now_sec) {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (auto& [key, entry] : classes_) {
+  for (const auto& entry : classes_.Entries()) {
     const HistogramSnapshot window = entry->qerror.SnapshotWindowAt(
         options_.window.span_seconds(), now_sec);
     double baseline = 0;
@@ -194,12 +162,7 @@ ScorecardClassReport Scorecard::BuildReport(const Entry& entry,
 
 std::vector<ScorecardClassReport> Scorecard::ReportAt(int64_t window_seconds,
                                                       int64_t now_sec) const {
-  std::vector<std::shared_ptr<Entry>> entries;
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    entries.reserve(classes_.size());
-    for (const auto& [key, entry] : classes_) entries.push_back(entry);
-  }
+  const auto entries = classes_.Entries();
   std::vector<ScorecardClassReport> reports;
   reports.reserve(entries.size());
   for (const auto& entry : entries) {

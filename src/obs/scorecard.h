@@ -7,10 +7,10 @@
 // retained worst exemplar — the observation substrate an AQO-style
 // feedback loop needs, and the drift tripwire an operator needs.
 //
-// Recording is designed for the estimate hot path: a shared-lock hash
-// lookup to a stable entry, then relaxed atomics and one windowed
-// histogram record. Only the first sample of a *new* class (and the
-// bounded-top-K eviction it may trigger) takes the exclusive lock.
+// Recording is designed for the estimate hot path: a shared-lock
+// util::ClassTable lookup to a stable entry, then relaxed atomics and one
+// windowed histogram record. Only the first sample of a *new* class (and
+// the bounded-top-K eviction it may trigger) takes the exclusive lock.
 //
 // Drift: each class's baseline median is stamped from the live window
 // at snapshot load / hot swap (or lazily, once the class has enough
@@ -20,18 +20,17 @@
 // oscillating around the threshold cannot re-emit; the tripwire
 // re-arms only at the next baseline re-stamp (journal event + gauge).
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/windowed.h"
+#include "util/class_table.h"
 
 namespace cegraph::obs {
 
@@ -111,9 +110,7 @@ class Scorecard {
   size_t class_count() const;
   size_t drifted_classes() const;
   bool AnyDrift() const { return drifted_classes() > 0; }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t evictions() const;
 
   /// Every class, windowed over `window_seconds`, sorted by hits
   /// descending (ties: key ascending) — a deterministic order for the
@@ -127,28 +124,13 @@ class Scorecard {
  private:
   struct Entry;
 
-  std::shared_ptr<Entry> FindOrCreate(const ScorecardSample& sample);
-  void EvictOneLocked();
   void EvaluateDrift(Entry& entry, int64_t now_sec);
   ScorecardClassReport BuildReport(const Entry& entry,
                                    int64_t window_seconds,
                                    int64_t now_sec) const;
 
   ScorecardOptions options_;
-
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  mutable std::shared_mutex mutex_;  // guards the map structure only
-  std::unordered_map<std::string, std::shared_ptr<Entry>, StringHash,
-                     std::equal_to<>>
-      classes_;
-
-  std::atomic<uint64_t> evictions_{0};
+  util::ClassTable<Entry> classes_;
   std::atomic<int64_t> drifted_count_{0};
 
   std::mutex callback_mutex_;

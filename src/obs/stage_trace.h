@@ -5,8 +5,8 @@
 // the duration of one request; layers below (admission, serving-state
 // acquisition, the estimator loop) record into it through Current()
 // without any plumbing through their signatures. When nothing is
-// installed — the embedded in-process service, the legacy dispatcher
-// with tracing off — every record call is a null-check no-op.
+// installed — the embedded in-process service, or a server with metrics
+// off (CEGRAPH_METRICS=off) — every record call is a null-check no-op.
 //
 // Stage semantics (all microseconds):
 //   kQueueWait    complete frame parsed  -> worker picked it up

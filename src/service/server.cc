@@ -28,6 +28,9 @@ int64_t NowMicros() {
       .count();
 }
 
+/// listen(2) backlog of the server socket.
+constexpr int kListenBacklog = 128;
+
 /// epoll user-data tags for the two non-connection fds; connection ids
 /// start at 2 (see next_conn_id_).
 constexpr uint64_t kListenTag = 0;
@@ -64,71 +67,51 @@ TcpServer::TcpServer(DatasetCatalog& catalog, ServerOptions options)
 TcpServer::~TcpServer() { Stop(); }
 
 util::Status TcpServer::Start() {
+  std::lock_guard<std::mutex> lock(state_mutex_);
   if (started_) return util::FailedPreconditionError("server already started");
-  auto fd = wire::ListenTcp(options_.host, options_.port, options_.backlog);
+  auto fd = wire::ListenTcp(options_.host, options_.port, kListenBacklog);
   if (!fd.ok()) return fd.status();
   listen_fd_ = *fd;
+  auto fail = [this](util::Status status) {
+    CloseFds();
+    return status;
+  };
   auto port = wire::BoundPort(listen_fd_);
-  if (!port.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return port.status();
-  }
+  if (!port.ok()) return fail(port.status());
   port_ = *port;
-  const int workers = options_.workers < 1 ? 1 : options_.workers;
-
-  if (options_.dispatch == ServerOptions::Dispatch::kEventLoop) {
-    auto fail = [this](util::Status status) {
-      if (epoll_fd_ >= 0) ::close(epoll_fd_);
-      if (wake_fd_ >= 0) ::close(wake_fd_);
-      epoll_fd_ = wake_fd_ = -1;
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return status;
-    };
-    if (auto status = wire::SetNonBlocking(listen_fd_); !status.ok()) {
-      return fail(status);
-    }
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) {
-      return fail(util::InternalError(std::string("epoll_create1: ") +
-                                      std::strerror(errno)));
-    }
-    wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (wake_fd_ < 0) {
-      return fail(
-          util::InternalError(std::string("eventfd: ") + std::strerror(errno)));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kListenTag;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-      return fail(util::InternalError(std::string("epoll_ctl(listen): ") +
-                                      std::strerror(errno)));
-    }
-    ev.data.u64 = kWakeTag;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-      return fail(util::InternalError(std::string("epoll_ctl(wake): ") +
-                                      std::strerror(errno)));
-    }
-    work_.clear();
-    completions_.clear();
-    next_conn_id_ = 2;
-    event_stop_.store(false, std::memory_order_relaxed);
-    started_ = true;
-    stopping_ = false;
-    io_ = std::thread([this] { IoLoop(); });
-    workers_.reserve(static_cast<size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      workers_.emplace_back([this] { EventWorkerLoop(); });
-    }
-    RegisterMetrics();
-    return util::Status::OK();
+  if (auto status = wire::SetNonBlocking(listen_fd_); !status.ok()) {
+    return fail(status);
   }
-
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    return fail(util::InternalError(std::string("epoll_create1: ") +
+                                    std::strerror(errno)));
+  }
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    return fail(
+        util::InternalError(std::string("eventfd: ") + std::strerror(errno)));
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenTag;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+    return fail(util::InternalError(std::string("epoll_ctl(listen): ") +
+                                    std::strerror(errno)));
+  }
+  ev.data.u64 = kWakeTag;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    return fail(util::InternalError(std::string("epoll_ctl(wake): ") +
+                                    std::strerror(errno)));
+  }
+  work_.clear();
+  completions_.clear();
+  next_conn_id_ = 2;
+  event_stop_.store(false, std::memory_order_relaxed);
   started_ = true;
   stopping_ = false;
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  io_ = std::thread([this] { IoLoop(); });
+  const int workers = options_.workers < 1 ? 1 : options_.workers;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -137,23 +120,22 @@ util::Status TcpServer::Start() {
   return util::Status::OK();
 }
 
+void TcpServer::CloseFds() {
+  for (int* fd : {&epoll_fd_, &wake_fd_, &listen_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+}
+
 void TcpServer::Stop() {
   std::thread io;
-  std::thread acceptor;
   std::vector<std::thread> workers;
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
+    std::lock_guard<std::mutex> lock(state_mutex_);
     if (!started_ || stopping_) return;
     stopping_ = true;
     io = std::move(io_);
-    acceptor = std::move(acceptor_);
     workers = std::move(workers_);
-    // Unblock legacy workers parked in a read: SHUT_RD makes their next
-    // (or current) read return EOF, and they observe stopping_ on the way
-    // out. The write side stays open so a worker mid-request can still
-    // deliver its response — the drain contract: every request the
-    // server accepted is answered.
-    for (const int fd : active_) ::shutdown(fd, SHUT_RD);
   }
   // The collector reads only atomics (plus work_mutex_ for queue depth),
   // so unregistering before the joins is safe; it must be gone before the
@@ -167,40 +149,15 @@ void TcpServer::Stop() {
     std::lock_guard<std::mutex> lock(work_mutex_);
   }
   work_cv_.notify_all();
-  if (wake_fd_ >= 0) WakeIo();
-  if (options_.dispatch == ServerOptions::Dispatch::kThreadPerConnection &&
-      listen_fd_ >= 0) {
-    // Closing the listener unblocks the legacy acceptor's accept(). The
-    // event loop's listener is non-blocking and polled — the I/O thread
-    // still owns it, so it is closed after the join instead.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  queue_cv_.notify_all();
+  WakeIo();
   if (io.joinable()) io.join();
-  if (acceptor.joinable()) acceptor.join();
   for (std::thread& t : workers) {
     if (t.joinable()) t.join();
   }
-  if (epoll_fd_ >= 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-  }
-  if (wake_fd_ >= 0) {
-    ::close(wake_fd_);
-    wake_fd_ = -1;
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // The I/O thread owned the listener and epoll set until the join.
+  CloseFds();
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    while (!queue_.empty()) {
-      ::close(queue_.front());
-      queue_.pop_front();
-    }
+    std::lock_guard<std::mutex> lock(state_mutex_);
     started_ = false;
   }
   stopped_.store(true, std::memory_order_relaxed);
@@ -237,8 +194,6 @@ void TcpServer::EmitShedEvent(const char* reason, int cap) {
   event.num.emplace_back("cap", static_cast<double>(cap));
   (void)options_.journal->Emit(std::move(event));
 }
-
-// ---- event loop (kEventLoop) ----
 
 void TcpServer::IoLoop() {
   std::vector<epoll_event> events(512);
@@ -364,14 +319,13 @@ void TcpServer::ParseFrames(Conn& conn) {
                             (static_cast<uint32_t>(p[1]) << 8) |
                             (static_cast<uint32_t>(p[2]) << 16) |
                             (static_cast<uint32_t>(p[3]) << 24);
-    if (length > options_.max_frame_bytes) {
-      // Same contract as the blocking path's ReadFrame: the stream cannot
-      // be resynced, but the client gets the reason as an (in-order)
-      // error frame before the connection closes.
+    if (length > wire::kMaxFrameBytes) {
+      // The stream cannot be resynced, but the client gets the reason as
+      // an (in-order) error frame before the connection closes.
       wire::Response response;
       response.status = util::InvalidArgumentError(
           "frame of " + std::to_string(length) + " bytes exceeds the " +
-          std::to_string(options_.max_frame_bytes) + "-byte limit");
+          std::to_string(wire::kMaxFrameBytes) + "-byte limit");
       conn.pending.push_back({wire::EncodeResponse(response), true});
       conn.draining = true;
       conn.close_after_flush = true;
@@ -426,8 +380,6 @@ void TcpServer::PumpConn(Conn& conn) {
     work_cv_.notify_one();
   }
 }
-
-void TcpServer::HandleWritable(Conn& conn) { FlushConn(conn); }
 
 void TcpServer::FlushConn(Conn& conn) {
   while (conn.out_pos < conn.out.size()) {
@@ -512,7 +464,7 @@ void TcpServer::HandleCompletions() {
   }
 }
 
-void TcpServer::EventWorkerLoop() {
+void TcpServer::WorkerLoop() {
   for (;;) {
     WorkItem item;
     {
@@ -655,115 +607,6 @@ void TcpServer::WakeIo() {
   }
 }
 
-// ---- thread-per-connection (kThreadPerConnection) ----
-
-void TcpServer::AcceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      // EBADF/EINVAL after Stop closed the listener; EINTR restarts.
-      if (errno == EINTR) continue;
-      return;
-    }
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    wire::SetTcpNoDelay(fd);
-    bool reject = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (stopping_) {
-        ::close(fd);
-        return;
-      }
-      if (options_.max_queued_connections > 0 &&
-          queue_.size() >=
-              static_cast<size_t>(options_.max_queued_connections)) {
-        reject = true;
-      } else {
-        queue_.push_back(fd);
-      }
-    }
-    if (reject) {
-      shed_queue_cap_.fetch_add(1, std::memory_order_relaxed);
-      EmitShedEvent("queue_cap", options_.max_queued_connections);
-      (void)wire::WriteFrame(
-          fd, EncodeOverloadReject(
-                  "server accept queue full (" +
-                  std::to_string(options_.max_queued_connections) +
-                  " connections waiting)"));
-      ::close(fd);
-      continue;
-    }
-    queue_cv_.notify_one();
-  }
-}
-
-void TcpServer::WorkerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;  // queued fds are closed by Stop
-      fd = queue_.front();
-      queue_.pop_front();
-      active_.insert(fd);
-    }
-    connections_active_.fetch_add(1, std::memory_order_relaxed);
-    ServeConnection(fd);
-    connections_active_.fetch_sub(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      active_.erase(fd);
-    }
-    ::close(fd);
-  }
-}
-
-void TcpServer::ServeConnection(int fd) {
-  for (;;) {
-    auto payload = wire::ReadFrame(fd, options_.max_frame_bytes);
-    if (!payload.ok()) {
-      // Clean close, truncation or corruption. An implausible length
-      // prefix is the one failure we can still answer — the stream is
-      // unrecoverable (we cannot resync on frames), but the client gets
-      // the reason as an error frame instead of a bare connection reset.
-      if (payload.status().code() == util::StatusCode::kInvalidArgument) {
-        wire::Response response;
-        response.status = payload.status();
-        (void)wire::WriteFrame(fd, wire::EncodeResponse(response));
-      }
-      return;
-    }
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    bytes_in_.fetch_add(payload->size() + 4, std::memory_order_relaxed);
-
-    wire::Response response;
-    auto request = wire::DecodeRequest(*payload);
-    CountFrame(request);
-    if (!request.ok()) {
-      response.status = request.status();
-    } else {
-      response = Dispatch(*request);
-    }
-    const std::string encoded = wire::EncodeResponse(response);
-    if (!wire::WriteFrame(fd, encoded).ok()) return;
-    bytes_out_.fetch_add(encoded.size() + 4, std::memory_order_relaxed);
-
-    // Only an *accepted* shutdown drains the server (a dataset-qualified
-    // one was answered with an error frame above and must not).
-    if (request.ok() && request->type == wire::MessageType::kShutdown &&
-        response.status.ok()) {
-      shutdown_requested_.store(true, std::memory_order_relaxed);
-      NotifyShutdownRequested();
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (stopping_) return;
-    }
-  }
-}
-
 wire::Response TcpServer::Dispatch(const wire::Request& request) {
   wire::Response response;
   response.type = request.type;
@@ -880,7 +723,6 @@ void TcpServer::FillServerCounters(ServiceStats& stats) const {
   s.connections_active = connections_active_.load(std::memory_order_relaxed);
   s.shed_connection_cap = shed_connection_cap();
   s.shed_pipeline_cap = shed_pipeline_cap();
-  s.shed_queue_cap = shed_queue_cap();
   s.backpressure_events = backpressure_events();
   s.bytes_in = bytes_in();
   s.bytes_out = bytes_out();
@@ -908,8 +750,6 @@ void TcpServer::RegisterMetrics() {
         w.WriteCounter("cegraph_server_shed_total",
                        label + ",reason=\"pipeline_cap\"",
                        shed_pipeline_cap());
-        w.WriteCounter("cegraph_server_shed_total",
-                       label + ",reason=\"queue_cap\"", shed_queue_cap());
         w.WriteCounter("cegraph_server_backpressure_events_total", label,
                        backpressure_events());
         w.WriteCounter("cegraph_server_bytes_in_total", label, bytes_in());

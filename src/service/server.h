@@ -11,7 +11,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/journal.h"
@@ -30,47 +29,25 @@ struct ServerOptions {
   /// Worker threads decoding, serving and encoding requests. Estimation
   /// itself runs on the worker; more workers = more concurrent estimation
   /// (the service's serving states are wait-free for readers, so workers
-  /// scale). Under kEventLoop this pool is the *only* per-request
-  /// concurrency — connections cost file descriptors, not threads.
+  /// scale). This pool is the *only* per-request concurrency —
+  /// connections cost file descriptors, not threads.
   int workers = 4;
-  int backlog = 128;
-  uint32_t max_frame_bytes = wire::kMaxFrameBytes;
 
-  /// How connections are multiplexed onto the worker pool.
-  enum class Dispatch {
-    /// One epoll I/O thread owns every connection (non-blocking sockets,
-    /// incremental frame reassembly) and hands complete request frames to
-    /// the worker pool. Thousands of mostly-idle connections cost fds,
-    /// not threads. The default.
-    kEventLoop,
-    /// The original blocking model: an acceptor queues connections and
-    /// each worker serves one connection at a time, frame by blocking
-    /// frame. Kept as the bench baseline the event loop is gated against.
-    kThreadPerConnection,
-  };
-  Dispatch dispatch = Dispatch::kEventLoop;
-
-  /// kEventLoop: cap on concurrently open connections. An accept beyond
-  /// the cap is answered with a retryable RESOURCE_EXHAUSTED error frame
-  /// and closed. <= 0 = unbounded.
+  /// Cap on concurrently open connections. An accept beyond the cap is
+  /// answered with a retryable RESOURCE_EXHAUSTED error frame and
+  /// closed. <= 0 = unbounded.
   int max_connections = 10000;
-  /// kEventLoop: per-connection cap on pipelined frames that are decoded
-  /// but not yet served (one frame per connection is in the workers at a
-  /// time; the rest wait here). An overflowing frame is answered — in
-  /// pipeline order — with a retryable RESOURCE_EXHAUSTED error frame
-  /// instead of buffering without bound. <= 0 = unbounded.
+  /// Per-connection cap on pipelined frames that are decoded but not yet
+  /// served (one frame per connection is in the workers at a time; the
+  /// rest wait here). An overflowing frame is answered — in pipeline
+  /// order — with a retryable RESOURCE_EXHAUSTED error frame instead of
+  /// buffering without bound. <= 0 = unbounded.
   int max_pipelined_requests = 128;
-  /// kThreadPerConnection: cap on accepted connections waiting for a free
-  /// worker (this deque was previously unbounded). Beyond the cap the
-  /// connection is answered with a retryable RESOURCE_EXHAUSTED error
-  /// frame and closed. <= 0 = unbounded.
-  int max_queued_connections = 1024;
 
-  /// kEventLoop: requests slower than this (queue wait through handoff,
-  /// as seen by the worker) are logged to stderr with their per-stage
-  /// breakdown and request id, rate-limited by slow_log_per_sec so a
-  /// saturated server cannot flood its own log. <= 0 disables the slow
-  /// log.
+  /// Requests slower than this (queue wait through handoff, as seen by
+  /// the worker) are logged to stderr with their per-stage breakdown and
+  /// request id, rate-limited by slow_log_per_sec so a saturated server
+  /// cannot flood its own log. <= 0 disables the slow log.
   int slow_request_millis = 0;
   /// Cap on slow-request log lines (and journal "slow_request" events)
   /// per second. <= 0 removes the limiter entirely — every slow request
@@ -83,9 +60,8 @@ struct ServerOptions {
 };
 
 /// The request dispatcher of `cegraph_serve`, reusable in-process
-/// (loopback benches, tests). Under the default kEventLoop mode a single
-/// I/O thread multiplexes every connection through epoll — non-blocking
-/// sockets, per-connection read/write buffers reassembling length-
+/// (loopback benches, tests). A single I/O thread multiplexes every
+/// connection through epoll — non-blocking sockets, per-connection read/write buffers reassembling length-
 /// prefixed frames incrementally — and hands complete requests to a
 /// fixed worker pool; responses on one connection are delivered strictly
 /// in request order, so clients may pipeline. Requests are routed
@@ -131,21 +107,17 @@ class TcpServer {
     return requests_.load(std::memory_order_relaxed);
   }
   /// Connections or pipelined frames refused with a retryable error frame
-  /// — the sum of the three per-bound shed counters below.
+  /// — the sum of the two per-bound shed counters below.
   uint64_t overload_rejections() const {
-    return shed_connection_cap() + shed_pipeline_cap() + shed_queue_cap();
+    return shed_connection_cap() + shed_pipeline_cap();
   }
-  /// Accepts refused at the kEventLoop --max-connections bound.
+  /// Accepts refused at the --max-connections bound.
   uint64_t shed_connection_cap() const {
     return shed_connection_cap_.load(std::memory_order_relaxed);
   }
   /// Pipelined frames refused at the per-connection pipeline depth.
   uint64_t shed_pipeline_cap() const {
     return shed_pipeline_cap_.load(std::memory_order_relaxed);
-  }
-  /// Legacy accept-queue refusals (kThreadPerConnection only).
-  uint64_t shed_queue_cap() const {
-    return shed_queue_cap_.load(std::memory_order_relaxed);
   }
   /// Times a connection's out-buffer crossed the high-water mark and the
   /// I/O thread stopped reading it (backpressure engaged).
@@ -170,12 +142,14 @@ class TcpServer {
   /// Registers / removes the server's Prometheus collector.
   void RegisterMetrics();
   void NotifyShutdownRequested();
+  /// Closes the listener, epoll and wake fds (those still open).
+  void CloseFds();
   /// The pre-encoded retryable refusal payload for overload rejections.
   std::string EncodeOverloadReject(const std::string& what);
   /// Journals one overload rejection (no-op without a journal).
   void EmitShedEvent(const char* reason, int cap);
 
-  // ---- event loop (kEventLoop) ----
+  // ---- event loop ----
   /// One connection's multiplexing state. Owned and mutated by the I/O
   /// thread only; workers refer to connections by id, never by pointer.
   struct Conn {
@@ -224,10 +198,9 @@ class TcpServer {
                            int64_t done_micros);
 
   void IoLoop();
-  void EventWorkerLoop();
+  void WorkerLoop();
   void HandleAccept();
   void HandleReadable(Conn& conn);
-  void HandleWritable(Conn& conn);
   void ParseFrames(Conn& conn);
   /// Emits front-of-queue rejected entries and dispatches the next real
   /// frame when the connection is idle.
@@ -237,11 +210,6 @@ class TcpServer {
   void CloseConn(Conn& conn);
   void HandleCompletions();
   void WakeIo();
-
-  // ---- thread-per-connection (kThreadPerConnection) ----
-  void AcceptLoop();
-  void WorkerLoop();
-  void ServeConnection(int fd);
 
   /// Backing store for the single-service constructor; unused otherwise.
   DatasetCatalog single_;
@@ -267,17 +235,10 @@ class TcpServer {
   std::mutex completion_mutex_;
   std::vector<Completion> completions_;
 
-  // Legacy plumbing (also reused for started/stopping bookkeeping).
-  std::thread acceptor_;
   std::vector<std::thread> workers_;
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<int> queue_;
-  /// Connections a legacy worker is currently serving; Stop() shuts them
-  /// down so reads blocked mid-connection unblock with EOF.
-  std::unordered_set<int> active_;
-  bool stopping_ = false;
+  std::mutex state_mutex_;  ///< guards started_ / stopping_
   bool started_ = false;
+  bool stopping_ = false;
 
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
@@ -290,14 +251,13 @@ class TcpServer {
   std::atomic<uint64_t> connections_active_{0};
   std::atomic<uint64_t> shed_connection_cap_{0};
   std::atomic<uint64_t> shed_pipeline_cap_{0};
-  std::atomic<uint64_t> shed_queue_cap_{0};
   std::atomic<uint64_t> backpressure_events_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
   std::atomic<uint64_t> frames_estimate_{0};
   std::atomic<uint64_t> frames_batch_{0};
   std::atomic<uint64_t> frames_other_{0};
-  /// Per-stage latency distributions across every event-loop request
+  /// Per-stage latency distributions across every request
   /// (indexed by obs::Stage). Recorded only when obs::MetricsEnabled().
   std::array<obs::Histogram, obs::kStageCount> stage_hist_;
   /// Slow-log rate limiting: micros timestamp of the last emitted line.

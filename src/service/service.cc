@@ -52,9 +52,9 @@ std::string PromLabelEscape(std::string_view s) {
 }
 
 /// Query-class identity shared by the scorecard and the feedback store:
-/// isomorphism-canonical shape (memoized on the query — the CEG cache
-/// already computed it on this path) plus the sorted label multiset the
-/// canonical code abstracts away.
+/// isomorphism-canonical shape (memoized on the query, so the CEG cache
+/// lookups reuse it) plus the sorted label multiset the canonical code
+/// abstracts away.
 std::string QueryClassCode(const query::QueryGraph& query) {
   std::string key = query.CanonicalCode();
   std::vector<uint32_t> labels;
@@ -271,11 +271,15 @@ util::StatusOr<EstimateResponse> EstimationService::EstimateOnState(
   // feedback off the store is never consulted, so serving is
   // bit-identical to a pre-feedback build.
   learn::FeedbackStore* feedback = nullptr;
-  std::string class_code;
   if (options_.feedback != FeedbackMode::kOff && state.feedback != nullptr) {
     feedback = state.feedback.get();
-    class_code = QueryClassCode(request.query);
   }
+  // The query class keys both the feedback store and the scorecard; it
+  // is built once, and only when one of them will use it.
+  const bool metrics = obs::MetricsEnabled();
+  const bool score = metrics && response.has_truth;
+  std::string class_code;
+  if (feedback != nullptr || score) class_code = QueryClassCode(request.query);
 
   response.results.reserve(state.suite.size());
   for (size_t i = 0; i < state.suite.size(); ++i) {
@@ -318,7 +322,6 @@ util::StatusOr<EstimateResponse> EstimationService::EstimateOnState(
     trace->Add(obs::Stage::kEstimate, response.total_micros);
   }
 
-  const bool metrics = obs::MetricsEnabled();
   served_.fetch_add(1, std::memory_order_relaxed);
   latency_micros_total_.fetch_add(
       static_cast<uint64_t>(response.total_micros),
@@ -345,7 +348,7 @@ util::StatusOr<EstimateResponse> EstimationService::EstimateOnState(
       if (metrics) accum.qerror_hist.Record(result.qerror);
     }
   }
-  if (metrics && response.has_truth) RecordScorecard(request, response);
+  if (score) RecordScorecard(request, response, class_code);
   if (feedback != nullptr && response.has_truth) {
     // Pre/post-correction windowed q-error: the live readout of whether
     // the loop helps. Both sides use the same usable samples, so the
@@ -399,9 +402,9 @@ void EstimationService::RecordFeedback(learn::FeedbackStore& store,
   }
 }
 
-void EstimationService::RecordScorecard(
-    const EstimateRequest& request, const EstimateResponse& response) const {
-  const std::string key = QueryClassCode(request.query);
+void EstimationService::RecordScorecard(const EstimateRequest& request,
+                                        const EstimateResponse& response,
+                                        const std::string& class_code) const {
   const std::string_view display = DisplayOf(request);
   const int64_t now_sec = obs::WindowedHistogram::NowSec();
   for (const EstimatorResult& result : response.results) {
@@ -410,7 +413,7 @@ void EstimationService::RecordScorecard(
       continue;
     }
     obs::ScorecardSample sample;
-    sample.class_key = key;
+    sample.class_key = class_code;
     sample.display = display;
     sample.line = request.pattern;
     sample.estimator = result.name;

@@ -194,7 +194,6 @@ struct ServiceStats {
     uint64_t connections_active = 0;
     uint64_t shed_connection_cap = 0;  ///< rejections at --max-connections
     uint64_t shed_pipeline_cap = 0;    ///< rejections at the pipeline depth
-    uint64_t shed_queue_cap = 0;       ///< legacy accept-queue rejections
     uint64_t backpressure_events = 0;  ///< out-buffer high-water crossings
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
@@ -432,12 +431,13 @@ class EstimationService {
   /// same regime, a swap is a new one).
   mutable obs::Scorecard scorecard_;
   /// Attributes every usable truth-carrying estimator result of
-  /// `response` to the request's query class.
+  /// `response` to the request's query class `class_code`.
   void RecordScorecard(const EstimateRequest& request,
-                       const EstimateResponse& response) const;
+                       const EstimateResponse& response,
+                       const std::string& class_code) const;
   /// Feeds every usable truth-carrying result's RAW estimate into the
   /// feedback store (kOn only) and emits `correction_update` journal
-  /// events for gate crossings / large moves. `class_code` is the
+  /// events for gate crossings / large moves. Both recorders take the
   /// query-class identity QueryClassCode computed once per request.
   void RecordFeedback(learn::FeedbackStore& store,
                       const EstimateRequest& request,

@@ -343,7 +343,7 @@ std::string EncodeStatsExt(const ServiceStats& stats) {
   w.WriteU64(stats.server.connections_active);
   w.WriteU64(stats.server.shed_connection_cap);
   w.WriteU64(stats.server.shed_pipeline_cap);
-  w.WriteU64(stats.server.shed_queue_cap);
+  w.WriteU64(0);  // reserved, always 0: keeps the v4 layout fixed
   w.WriteU64(stats.server.backpressure_events);
   w.WriteU64(stats.server.bytes_in);
   w.WriteU64(stats.server.bytes_out);
@@ -397,10 +397,11 @@ util::Status DecodeStatsExt(std::string_view ext, ServiceStats& stats) {
   auto present = r.ReadU8();
   if (!present.ok()) return present.status();
   stats.server.present = *present != 0;
+  uint64_t reserved = 0;  // always-0 slot, read and discarded
   for (uint64_t* field :
        {&stats.server.connections_accepted, &stats.server.connections_active,
         &stats.server.shed_connection_cap, &stats.server.shed_pipeline_cap,
-        &stats.server.shed_queue_cap, &stats.server.backpressure_events,
+        &reserved, &stats.server.backpressure_events,
         &stats.server.bytes_in, &stats.server.bytes_out,
         &stats.server.frames_estimate, &stats.server.frames_batch,
         &stats.server.frames_other}) {

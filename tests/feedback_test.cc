@@ -1,5 +1,5 @@
 // Tests for the learned-feedback layer: the confidence gate, exponential
-// decay, bounded eviction, the fingerprint drift guard, serde round-trips
+// decay, the fingerprint drift guard, serde round-trips
 // (bit-identical corrections), the merge rule (live classes win), and the
 // snapshot section riding the EstimationContext save/load path.
 #include "learn/feedback_store.h"
@@ -149,32 +149,6 @@ TEST(FeedbackStoreTest, ActiveCorrectionShiftsReportOnlyPastThreshold) {
   EXPECT_FALSE(shifted->activated);
 }
 
-TEST(FeedbackStoreTest, EvictsFewestHitsTiesTowardGreatestKey) {
-  FeedbackOptions options;
-  options.max_classes = 3;
-  options.min_samples = 1;
-  FeedbackStore store(options);
-  for (int i = 0; i < 5; ++i) store.Record("a", "a", 1.0, 2.0);
-  for (int i = 0; i < 2; ++i) store.Record("b", "b", 1.0, 2.0);
-  for (int i = 0; i < 3; ++i) store.Record("c", "c", 1.0, 2.0);
-
-  // "d" is the 4th class: "b" (fewest hits) goes.
-  store.Record("d", "d", 1.0, 2.0);
-  EXPECT_EQ(store.class_count(), 3u);
-  EXPECT_EQ(store.evictions(), 1u);
-  EXPECT_DOUBLE_EQ(store.CorrectionFor("b"), 1.0);
-
-  // "e" next: "d" (now the fewest at 1 hit) goes — eviction runs before
-  // the insert, so a new class can never be its own victim.
-  store.Record("e", "e", 1.0, 2.0);
-  const auto report = store.Report();
-  ASSERT_EQ(report.size(), 3u);
-  EXPECT_EQ(report[0].key, "a");
-  EXPECT_EQ(report[1].key, "c");
-  EXPECT_EQ(report[2].key, "e");
-  EXPECT_EQ(store.evictions(), 2u);
-}
-
 TEST(FeedbackStoreTest, SerializeIsDeterministicAndRoundTripsBitIdentical) {
   FeedbackOptions options;
   options.min_samples = 2;
@@ -290,7 +264,9 @@ TEST(FeedbackSnapshotTest, CorrectionsSurviveSaveLoadBitIdentically) {
   }
   ASSERT_TRUE(cold.context().SaveSnapshot(file.path()).ok());
 
-  engine::EstimationEngine warm(SmallGraph());
+  // The engine borrows its graph, so the graph must outlive it.
+  const graph::Graph same = SmallGraph();
+  engine::EstimationEngine warm(same);
   ASSERT_TRUE(warm.context().LoadSnapshot(file.path()).ok());
   const auto a = cold.context().feedback_store().Report();
   const auto b = warm.context().feedback_store().Report();
@@ -327,7 +303,9 @@ TEST(FeedbackSnapshotTest, ArenaFormatCarriesTheFeedbackSection) {
   }
   EXPECT_TRUE(found) << "arena snapshot carries the feedback section";
 
-  engine::EstimationEngine warm(SmallGraph());
+  // The engine borrows its graph, so the graph must outlive it.
+  const graph::Graph same = SmallGraph();
+  engine::EstimationEngine warm(same);
   ASSERT_TRUE(warm.context().LoadSnapshot(file.path()).ok());
   EXPECT_EQ(warm.context().feedback_store().class_count(), 1u);
   EXPECT_EQ(warm.context().feedback_store().Report()[0].correction,
@@ -342,7 +320,8 @@ TEST(FeedbackSnapshotTest, EmptyStoreWritesNoSectionSnapshotStaysIdentical) {
   engine::EstimationEngine a(g);
   ASSERT_TRUE(a.context().SaveSnapshot(without.path()).ok());
 
-  engine::EstimationEngine b(SmallGraph());
+  const graph::Graph same = SmallGraph();
+  engine::EstimationEngine b(same);
   b.context().feedback_store();  // created but empty: still no section
   ASSERT_TRUE(b.context().SaveSnapshot(with_touch.path()).ok());
 

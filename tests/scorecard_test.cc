@@ -1,6 +1,7 @@
 // Scorecard: per-class accounting (under/over split, worst exemplar),
-// deterministic bounded-top-K eviction, and drift detection against a
-// baseline stamped at snapshot load / hot swap.
+// drift detection against a baseline stamped at snapshot load / hot swap,
+// and the drift gauge across evictions (the eviction rule itself is
+// tested on util::ClassTable).
 #include "obs/scorecard.h"
 
 #include <gtest/gtest.h>
@@ -47,43 +48,6 @@ TEST(ScorecardTest, TracksUnderOverSplitAndWorstExemplar) {
   EXPECT_EQ(reports[1].key, "chain");
   EXPECT_EQ(reports[1].under, 0u);
   EXPECT_EQ(reports[1].over, 0u);
-}
-
-TEST(ScorecardTest, EvictsFewestHitsDeterministically) {
-  ScorecardOptions options;
-  options.max_classes = 3;
-  Scorecard scorecard(options);
-  for (int i = 0; i < 5; ++i) scorecard.RecordAt(Sample("a", 2, 1, 2), 0);
-  for (int i = 0; i < 2; ++i) scorecard.RecordAt(Sample("b", 2, 1, 2), 0);
-  for (int i = 0; i < 3; ++i) scorecard.RecordAt(Sample("c", 2, 1, 2), 0);
-
-  // "d" is the 4th class: "b" (fewest hits) is evicted to make room.
-  scorecard.RecordAt(Sample("d", 2, 1, 2), 0);
-  EXPECT_EQ(scorecard.class_count(), 3u);
-  EXPECT_EQ(scorecard.evictions(), 1u);
-  // "e" next: now "d" (1 hit) is the fewest.
-  scorecard.RecordAt(Sample("e", 2, 1, 2), 0);
-  const auto reports = scorecard.ReportAt(900, 0);
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_EQ(reports[0].key, "a");
-  EXPECT_EQ(reports[1].key, "c");
-  EXPECT_EQ(reports[2].key, "e");
-  EXPECT_EQ(scorecard.evictions(), 2u);
-}
-
-TEST(ScorecardTest, EvictionTieBreaksTowardGreatestKey) {
-  ScorecardOptions options;
-  options.max_classes = 3;
-  Scorecard scorecard(options);
-  scorecard.RecordAt(Sample("x", 2, 1, 2), 0);
-  scorecard.RecordAt(Sample("y", 2, 1, 2), 0);
-  scorecard.RecordAt(Sample("z", 2, 1, 2), 0);
-  scorecard.RecordAt(Sample("w", 2, 1, 2), 0);  // all tied at 1 hit: "z" goes
-  const auto reports = scorecard.ReportAt(900, 0);
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_EQ(reports[0].key, "w");
-  EXPECT_EQ(reports[1].key, "x");
-  EXPECT_EQ(reports[2].key, "y");
 }
 
 TEST(ScorecardTest, DriftFlipsWhenTheWindowedMedianLeavesTheBaseline) {
@@ -143,6 +107,38 @@ TEST(ScorecardTest, BaselineStampsLazilyForClassesBornAfterTheSwap) {
   reports = scorecard.ReportAt(600, 9);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_GT(reports[0].baseline_median, 0.0);
+}
+
+TEST(ScorecardTest, EvictingADriftedClassLeavesTheDriftGauge) {
+  ScorecardOptions options;
+  options.max_classes = 2;
+  options.window = {1, 600};
+  options.drift_min_samples = 4;
+  options.drift_ratio = 2.0;
+  Scorecard scorecard(options);
+  // "fork" stamps its baseline at ~2, then drifts to ~20 (32 hits).
+  for (int i = 0; i < 8; ++i) {
+    scorecard.RecordAt(Sample("fork", 2.0, 50, 100), i);
+  }
+  for (int i = 0; i < 24; ++i) {
+    scorecard.RecordAt(Sample("fork", 20.0, 2000, 100), 10 + i);
+  }
+  ASSERT_EQ(scorecard.drifted_classes(), 1u);
+  // "chain" is steady and outnumbers fork's hits.
+  for (int i = 0; i < 40; ++i) {
+    scorecard.RecordAt(Sample("chain", 2.0, 50, 100), 10 + i);
+  }
+  ASSERT_EQ(scorecard.drifted_classes(), 1u);
+
+  // A third class evicts fork (fewest hits): the gauge drops with it.
+  scorecard.RecordAt(Sample("star", 2.0, 50, 100), 50);
+  EXPECT_EQ(scorecard.evictions(), 1u);
+  EXPECT_EQ(scorecard.drifted_classes(), 0u);
+  EXPECT_FALSE(scorecard.AnyDrift());
+  const auto reports = scorecard.ReportAt(600, 50);
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].key, "chain");
+  EXPECT_EQ(reports[1].key, "star");
 }
 
 TEST(ScorecardTest, IgnoresUnusableQErrors) {

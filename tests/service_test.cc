@@ -1204,7 +1204,7 @@ TEST(TcpServerTest, PipelinedFramesAnswerInOrder) {
     ASSERT_TRUE(wire::WriteFrame(*fd, wire::EncodeRequest(ping)).ok());
   }
   for (int i = 0; i < kFrames; ++i) {
-    auto payload = wire::ReadFrame(*fd, ServerOptions().max_frame_bytes);
+    auto payload = wire::ReadFrame(*fd, wire::kMaxFrameBytes);
     ASSERT_TRUE(payload.ok()) << payload.status() << " at frame " << i;
     auto response = wire::DecodeResponse(*payload);
     ASSERT_TRUE(response.ok()) << response.status();
@@ -1259,7 +1259,7 @@ TEST(TcpServerTest, PipelineCapRejectsExcessFramesInOrder) {
   int ok = 0;
   int rejected = 0;
   for (int i = 0; i < kFrames; ++i) {
-    auto payload = wire::ReadFrame(*fd, ServerOptions().max_frame_bytes);
+    auto payload = wire::ReadFrame(*fd, wire::kMaxFrameBytes);
     ASSERT_TRUE(payload.ok()) << payload.status() << " at frame " << i;
     auto response = wire::DecodeResponse(*payload);
     ASSERT_TRUE(response.ok()) << response.status();
@@ -1355,46 +1355,6 @@ TEST(TcpServerTest, ConnectionCapRejectsWithRetryableFrame) {
   ASSERT_TRUE(ping.ok()) << ping.status();
   EXPECT_EQ(ping->text, "still");
   for (int fd : fds) ::close(fd);
-  server.Stop();
-}
-
-// The legacy dispatcher's accept-queue bound: with every worker occupied
-// and the queue full, the next connection gets the retryable error frame;
-// a freed worker then drains the queued connection.
-TEST(TcpServerTest, LegacyDispatcherBoundsAcceptQueue) {
-  auto service = EstimationService::Create(SmallGraph(),
-                                           DeterministicOptions());
-  ASSERT_TRUE(service.ok()) << service.status();
-  ServerOptions server_options;
-  server_options.dispatch = ServerOptions::Dispatch::kThreadPerConnection;
-  server_options.workers = 1;
-  server_options.max_queued_connections = 1;
-  TcpServer server(**service, server_options);
-  ASSERT_TRUE(server.Start().ok());
-
-  // A occupies the only worker (the answered ping proves it was dequeued).
-  auto a = wire::DialTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(a.ok()) << a.status();
-  auto ping_a = wire::RoundTrip(*a, {wire::MessageType::kPing, "a"});
-  ASSERT_TRUE(ping_a.ok()) << ping_a.status();
-
-  // B fills the one queue slot; C overflows and is shed with the frame.
-  auto b = wire::DialTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(b.ok()) << b.status();
-  auto c = wire::DialTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(c.ok()) << c.status();
-  auto rejected = wire::RoundTrip(*c, {wire::MessageType::kPing, "c"});
-  ASSERT_TRUE(rejected.ok()) << rejected.status();
-  EXPECT_EQ(rejected->status.code(), util::StatusCode::kResourceExhausted);
-  ::close(*c);
-  EXPECT_GE(server.overload_rejections(), 1u);
-
-  // Closing A frees the worker; B drains from the queue and serves.
-  ::close(*a);
-  auto ping_b = wire::RoundTrip(*b, {wire::MessageType::kPing, "b"});
-  ASSERT_TRUE(ping_b.ok()) << ping_b.status();
-  EXPECT_EQ(ping_b->text, "b");
-  ::close(*b);
   server.Stop();
 }
 
@@ -1582,7 +1542,7 @@ TEST(TcpServerTest, ShedCountersTravelInV4Stats) {
   }
   uint64_t shed_seen = 0;
   for (int i = 0; i < kFrames; ++i) {
-    auto payload = wire::ReadFrame(*fd, ServerOptions().max_frame_bytes);
+    auto payload = wire::ReadFrame(*fd, wire::kMaxFrameBytes);
     ASSERT_TRUE(payload.ok()) << payload.status() << " at frame " << i;
     auto response = wire::DecodeResponse(*payload);
     ASSERT_TRUE(response.ok()) << response.status();
@@ -1604,7 +1564,6 @@ TEST(TcpServerTest, ShedCountersTravelInV4Stats) {
   ASSERT_TRUE(v4->stats.server.present);
   EXPECT_EQ(v4->stats.server.shed_pipeline_cap, shed_seen);
   EXPECT_EQ(v4->stats.server.shed_connection_cap, 0u);
-  EXPECT_EQ(v4->stats.server.shed_queue_cap, 0u);
 
   ::close(*fd);
   server.Stop();

@@ -198,7 +198,6 @@ Response RandomResponse(Fuzz& fuzz) {
           response.stats.server.connections_active = fuzz.U64();
           response.stats.server.shed_connection_cap = fuzz.U64();
           response.stats.server.shed_pipeline_cap = fuzz.U64();
-          response.stats.server.shed_queue_cap = fuzz.U64();
           response.stats.server.backpressure_events = fuzz.U64();
           response.stats.server.bytes_in = fuzz.U64();
           response.stats.server.bytes_out = fuzz.U64();
@@ -403,8 +402,6 @@ void ExpectEqual(const Response& a, const Response& b) {
                   b.stats.server.shed_connection_cap);
         EXPECT_EQ(a.stats.server.shed_pipeline_cap,
                   b.stats.server.shed_pipeline_cap);
-        EXPECT_EQ(a.stats.server.shed_queue_cap,
-                  b.stats.server.shed_queue_cap);
         EXPECT_EQ(a.stats.server.backpressure_events,
                   b.stats.server.backpressure_events);
         EXPECT_EQ(a.stats.server.bytes_in, b.stats.server.bytes_in);
@@ -778,7 +775,7 @@ TEST(WireFuzzTest, GoldenV4StatsExtensionBytesAreStable) {
   ext.WriteU64(2);   // connections_active
   ext.WriteU64(0);   // shed_connection_cap
   ext.WriteU64(0);   // shed_pipeline_cap
-  ext.WriteU64(0);   // shed_queue_cap
+  ext.WriteU64(0);   // reserved, always 0
   ext.WriteU64(0);   // backpressure_events
   ext.WriteU64(4096);  // bytes_in
   ext.WriteU64(8192);  // bytes_out

@@ -184,8 +184,7 @@ void PrintStats(const Response& response, const service::ServiceStats* prev) {
         prev != nullptr && prev->server.present ? &prev->server : nullptr;
     std::printf(
         "server: connections %s accepted, %llu active; backpressure %s\n"
-        "  shed: admission %s, connection cap %s, pipeline cap %s, "
-        "queue cap %s\n"
+        "  shed: admission %s, connection cap %s, pipeline cap %s\n"
         "  bytes in %s out %s; frames estimate %s batch %s other %s\n",
         WithDelta(sv.connections_accepted,
                   pv ? &pv->connections_accepted : nullptr)
@@ -200,8 +199,6 @@ void PrintStats(const Response& response, const service::ServiceStats* prev) {
             .c_str(),
         WithDelta(sv.shed_pipeline_cap,
                   pv ? &pv->shed_pipeline_cap : nullptr)
-            .c_str(),
-        WithDelta(sv.shed_queue_cap, pv ? &pv->shed_queue_cap : nullptr)
             .c_str(),
         WithDelta(sv.bytes_in, pv ? &pv->bytes_in : nullptr).c_str(),
         WithDelta(sv.bytes_out, pv ? &pv->bytes_out : nullptr).c_str(),

@@ -2,11 +2,11 @@
 // dispatching estimation requests over one or many datasets, with snapshot
 // hot-swap and live delta ingestion (no restart, no dropped requests).
 //
-//   cegraph_serve (--dataset SPEC)... | --graph FILE [--port P]
-//                 [--workers N] [--estimators a,b,c] [--snapshot FILE]
+//   cegraph_serve (--dataset SPEC)... [--port P]
+//                 [--workers N] [--estimators a,b,c]
 //                 [--default-dataset NAME] [--markov-h H]
 //                 [--compact-trigger N] [--max-in-flight N]
-//                 [--dispatch epoll|threads] [--max-connections N]
+//                 [--max-connections N]
 //                 [--prewarm SUITE] [--instances N] [--seed S]
 //                 [--metrics-port P] [--slow-millis M]
 //                 [--slow-log-per-sec X] [--journal FILE]
@@ -35,13 +35,11 @@
 // of the human log lines, shared by every dataset and the server
 // itself. See docs/observability.md for the schema.
 //
-// --dispatch selects the connection model: "epoll" (default) multiplexes
-// every connection through one event-loop thread and serves requests on
-// the fixed worker pool (thousands of idle connections cost fds, not
-// threads); "threads" is the legacy thread-per-connection dispatcher kept
-// for baseline comparisons. --max-connections caps concurrently open
-// epoll connections; the overflow is answered with a retryable
-// RESOURCE_EXHAUSTED error frame.
+// One epoll event-loop thread multiplexes every connection and serves
+// requests on the fixed pool of --workers threads (thousands of idle
+// connections cost fds, not threads). --max-connections caps
+// concurrently open connections; the overflow is answered with a
+// retryable RESOURCE_EXHAUSTED error frame.
 //
 // --dataset is repeatable; each SPEC serves one dataset:
 //
@@ -62,10 +60,8 @@
 //
 // --port 0 (the default) picks an ephemeral port; the daemon prints
 // `listening on 127.0.0.1:<port>` on stdout (and flushes) so scripts can
-// scrape it. --snapshot FILE is the single-dataset legacy spelling of
-// @SNAPSHOT and applies to the first dataset. --prewarm generates the
-// named workload suite per dataset and warms its statistics caches before
-// accepting traffic.
+// scrape it. --prewarm generates the named workload suite per dataset and
+// warms its statistics caches before accepting traffic.
 //
 // The daemon exits 0 on SIGTERM/SIGINT or on a client's shutdown request,
 // draining in-flight connections first. See docs/wire_protocol.md for the
@@ -103,11 +99,11 @@ void OnSignal(int) { g_signal = 1; }
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: cegraph_serve (--dataset SPEC)... | --graph FILE [--port P]\n"
-      "       [--workers N] [--estimators a,b,c] [--snapshot FILE]\n"
+      "usage: cegraph_serve (--dataset SPEC)... [--port P]\n"
+      "       [--workers N] [--estimators a,b,c]\n"
       "       [--default-dataset NAME] [--markov-h H]\n"
       "       [--compact-trigger N] [--max-in-flight N]\n"
-      "       [--dispatch epoll|threads] [--max-connections N]\n"
+      "       [--max-connections N]\n"
       "       [--prewarm SUITE] [--instances N] [--seed S]\n"
       "       [--metrics-port P] [--slow-millis M]\n"
       "       [--slow-log-per-sec X] [--journal FILE]\n"
@@ -165,7 +161,7 @@ util::StatusOr<graph::Graph> LoadSource(const std::string& source) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> dataset_specs;
-  std::string graph_file, estimators_csv, legacy_snapshot, prewarm_suite;
+  std::string estimators_csv, prewarm_suite;
   std::string default_dataset, journal_path;
   service::ServerOptions server_options;
   service::ServiceOptions service_options;
@@ -187,8 +183,6 @@ int main(int argc, char** argv) {
     if (arg == "--dataset") {
       if (!next(&value)) return Usage();
       dataset_specs.push_back(value);
-    } else if (arg == "--graph") {
-      if (!next(&graph_file)) return Usage();
     } else if (arg == "--default-dataset") {
       if (!next(&default_dataset)) return Usage();
     } else if (arg == "--port") {
@@ -199,8 +193,6 @@ int main(int argc, char** argv) {
       server_options.workers = std::atoi(value.c_str());
     } else if (arg == "--estimators") {
       if (!next(&estimators_csv)) return Usage();
-    } else if (arg == "--snapshot") {
-      if (!next(&legacy_snapshot)) return Usage();
     } else if (arg == "--markov-h") {
       if (!next(&value)) return Usage();
       service_options.context.markov_h = std::atoi(value.c_str());
@@ -236,17 +228,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--feedback must be on, off or frozen\n");
         return Usage();
       }
-    } else if (arg == "--dispatch") {
-      if (!next(&value)) return Usage();
-      if (value == "epoll") {
-        server_options.dispatch = service::ServerOptions::Dispatch::kEventLoop;
-      } else if (value == "threads") {
-        server_options.dispatch =
-            service::ServerOptions::Dispatch::kThreadPerConnection;
-      } else {
-        std::fprintf(stderr, "--dispatch must be epoll or threads\n");
-        return Usage();
-      }
     } else if (arg == "--prewarm") {
       if (!next(&prewarm_suite)) return Usage();
     } else if (arg == "--instances") {
@@ -260,34 +241,14 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (dataset_specs.empty() == graph_file.empty()) return Usage();
+  if (dataset_specs.empty()) return Usage();
   if (!estimators_csv.empty()) {
     service_options.estimators = util::SplitCsv(estimators_csv);
   }
 
-  std::vector<ParsedSpec> parsed_specs;
-  for (const std::string& spec : dataset_specs) {
-    parsed_specs.push_back(ParseSpec(spec));
-  }
-  if (!graph_file.empty()) {
-    // Legacy single-graph spelling, served under the name "default". The
-    // path is taken verbatim — it never goes through the SPEC grammar, so
-    // '@'/'=' in the file name keep working as they always did.
-    parsed_specs.push_back({"default", graph_file, ""});
-  }
-
   std::vector<service::DatasetSpec> specs;
-  for (size_t d = 0; d < parsed_specs.size(); ++d) {
-    ParsedSpec parsed = parsed_specs[d];
-    if (d == 0 && !legacy_snapshot.empty()) {
-      if (!parsed.snapshot.empty()) {
-        std::fprintf(stderr,
-                     "--snapshot conflicts with @SNAPSHOT for dataset %s\n",
-                     parsed.name.c_str());
-        return Usage();
-      }
-      parsed.snapshot = legacy_snapshot;
-    }
+  for (const std::string& dataset_spec : dataset_specs) {
+    const ParsedSpec parsed = ParseSpec(dataset_spec);
     auto g = LoadSource(parsed.source);
     if (!g.ok()) {
       std::fprintf(stderr, "dataset %s (source %s): %s\n",
