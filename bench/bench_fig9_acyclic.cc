@@ -1,6 +1,6 @@
 // Reproduces Figure 9: the 9 optimistic estimators plus the P* oracle on
 // CEG_O over the acyclic workloads, one panel per dataset (h = 3, §6.2.1).
-// Expected shape (EXPERIMENTS.md): max-aggr beats avg-aggr beats min-aggr
+// Expected shape: max-aggr beats avg-aggr beats min-aggr
 // everywhere; max-hop ~= all-hops >= min-hop; estimators mostly
 // *under*estimate (negative signed log q-errors).
 #include <iostream>

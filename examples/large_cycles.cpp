@@ -61,10 +61,11 @@ int main() {
                                engine.context().cycle_closing_rates());
   std::cout << "\nCEG_OCR edges whose weight became a closing "
                "probability:\n";
-  for (const auto& e : ocr.ceg.edges()) {
-    if (e.label.find("closing-rate") != std::string::npos) {
-      std::cout << "  " << e.label << "  weight=" << std::exp2(e.log_weight)
-                << "\n";
+  for (uint32_t ei = 0; ei < ocr.ceg.num_edges(); ++ei) {
+    const ceg::Ceg::Edge& e = ocr.ceg.edges()[ei];
+    if (e.kind == ceg::Ceg::EdgeKind::kClosingRate) {
+      std::cout << "  " << ceg::DescribeEdge(ocr, ei)
+                << "  weight=" << std::exp2(e.log_weight) << "\n";
     }
   }
   std::cout << "\nOn CEG_O even the *minimum* path overestimates; CEG_OCR "

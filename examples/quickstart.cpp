@@ -76,7 +76,7 @@ int main() {
     std::string formula;
     for (uint32_t ei : path.edge_indices) {
       if (!formula.empty()) formula += " x ";
-      formula += built.ceg.edges()[ei].label;
+      formula += ceg::DescribeEdge(built, ei);
     }
     path_table.AddRow(
         {formula, util::TablePrinter::Num(std::exp2(path.log_weight))});

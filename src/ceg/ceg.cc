@@ -11,24 +11,19 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-uint32_t Ceg::AddNode(std::string label) {
-  labels_.push_back(std::move(label));
+static_assert(sizeof(Ceg::Edge) <= 24,
+              "a CEG edge is two node ids, a weight and a kind");
+
+uint32_t Ceg::AddNode() {
   csr_valid_ = false;
-  return static_cast<uint32_t>(labels_.size() - 1);
+  return num_nodes_++;
 }
 
-void Ceg::AddEdge(uint32_t from, uint32_t to, double weight,
-                  std::string label) {
-  Edge e;
-  e.from = from;
-  e.to = to;
-  e.log_weight = weight > 0 ? std::log2(weight) : -kInf;
-  e.label = std::move(label);
-  edges_.push_back(std::move(e));
+void Ceg::AddEdge(uint32_t from, uint32_t to, double weight, EdgeKind kind) {
+  edges_.push_back(
+      {from, to, weight > 0 ? std::log2(weight) : -kInf, kind});
   csr_valid_ = false;
 }
-
-void Ceg::ReserveNodes(uint32_t n) { labels_.reserve(n); }
 
 void Ceg::ReserveEdges(size_t n) { edges_.reserve(n); }
 
@@ -63,27 +58,8 @@ int Ceg::MaxDepthFromSource(const std::vector<uint32_t>& topo) const {
   return max_depth;
 }
 
-bool Ceg::IsDag() const {
-  std::vector<int> indegree(num_nodes(), 0);
-  for (const Edge& e : edges_) ++indegree[e.to];
-  std::vector<uint32_t> queue;
-  for (uint32_t v = 0; v < num_nodes(); ++v) {
-    if (indegree[v] == 0) queue.push_back(v);
-  }
-  size_t seen = 0;
-  while (!queue.empty()) {
-    const uint32_t v = queue.back();
-    queue.pop_back();
-    ++seen;
-    for (uint32_t ei : OutEdges(v)) {
-      if (--indegree[edges_[ei].to] == 0) queue.push_back(edges_[ei].to);
-    }
-  }
-  return seen == num_nodes();
-}
-
-util::StatusOr<Ceg::PathAggregates> Ceg::ComputeAggregates() const {
-  // Topological order via Kahn's algorithm.
+util::StatusOr<std::vector<uint32_t>> Ceg::TopologicalOrder() const {
+  // Kahn's algorithm.
   std::vector<int> indegree(num_nodes(), 0);
   for (const Edge& e : edges_) ++indegree[e.to];
   std::vector<uint32_t> topo;
@@ -99,6 +75,15 @@ util::StatusOr<Ceg::PathAggregates> Ceg::ComputeAggregates() const {
   if (topo.size() != num_nodes()) {
     return util::FailedPreconditionError("CEG is not a DAG");
   }
+  return topo;
+}
+
+bool Ceg::IsDag() const { return TopologicalOrder().ok(); }
+
+util::StatusOr<Ceg::PathAggregates> Ceg::ComputeAggregates() const {
+  auto order = TopologicalOrder();
+  if (!order.ok()) return order.status();
+  const std::vector<uint32_t>& topo = *order;
 
   // Per (node, hops): path count, min/max log-weight, sum of estimates.
   // The hop dimension is bounded by the longest source-reachable path
@@ -184,22 +169,9 @@ util::StatusOr<double> Ceg::MinLogWeightDijkstra() const {
 }
 
 util::StatusOr<Ceg::Path> Ceg::BestPath(HopMode mode, bool maximize) const {
-  // Topological order (DAG required).
-  std::vector<int> indegree(num_nodes(), 0);
-  for (const Edge& e : edges_) ++indegree[e.to];
-  std::vector<uint32_t> topo;
-  topo.reserve(num_nodes());
-  for (uint32_t v = 0; v < num_nodes(); ++v) {
-    if (indegree[v] == 0) topo.push_back(v);
-  }
-  for (size_t i = 0; i < topo.size(); ++i) {
-    for (uint32_t ei : OutEdges(topo[i])) {
-      if (--indegree[edges_[ei].to] == 0) topo.push_back(edges_[ei].to);
-    }
-  }
-  if (topo.size() != num_nodes()) {
-    return util::FailedPreconditionError("CEG is not a DAG");
-  }
+  auto order = TopologicalOrder();
+  if (!order.ok()) return order.status();
+  const std::vector<uint32_t>& topo = *order;
 
   const int max_hops = MaxDepthFromSource(topo);
   struct Cell {

@@ -2,7 +2,6 @@
 #define CEGRAPH_CEG_CEG_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -19,23 +18,31 @@ namespace cegraph::ceg {
 /// weight of 0 maps to -infinity and is handled throughout.
 class Ceg {
  public:
+  /// What an edge's weight is; builders that need the full provenance
+  /// keep it beside the CEG (BuiltCegO::edge_provenance).
+  enum class EdgeKind : uint8_t {
+    kRate,         ///< an extension rate: |E| or |E|/|I|, or a degree
+    kClosingRate,  ///< a sampled cycle-closing probability (CEG_OCR)
+    kProjection,   ///< a weight-1 attribute removal (CEG_M)
+  };
+
+  /// One weighted edge: two node ids, a log2 weight and a one-byte kind
+  /// (24 bytes).
   struct Edge {
     uint32_t from = 0;
     uint32_t to = 0;
     double log_weight = 0;   ///< log2 of the extension rate
-    std::string label;       ///< human-readable provenance (debugging)
+    EdgeKind kind = EdgeKind::kRate;
   };
 
   /// Adds a node and returns its id.
-  uint32_t AddNode(std::string label);
+  uint32_t AddNode();
   /// Adds an edge with *multiplicative* weight (>= 0).
   void AddEdge(uint32_t from, uint32_t to, double weight,
-               std::string label = "");
+               EdgeKind kind = EdgeKind::kRate);
 
-  /// Capacity hints for builders that know the CEG size up front (CEG_O
-  /// knows both counts before emitting edges). Avoids re-allocation churn
-  /// during construction.
-  void ReserveNodes(uint32_t n);
+  /// Capacity hint for builders that know the edge count up front (CEG_O
+  /// does). Avoids re-allocation churn during construction.
   void ReserveEdges(size_t n);
 
   void SetSource(uint32_t node) { source_ = node; }
@@ -43,10 +50,9 @@ class Ceg {
   uint32_t source() const { return source_; }
   uint32_t sink() const { return sink_; }
 
-  uint32_t num_nodes() const { return static_cast<uint32_t>(labels_.size()); }
+  uint32_t num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return edges_.size(); }
   const std::vector<Edge>& edges() const { return edges_; }
-  const std::string& node_label(uint32_t node) const { return labels_[node]; }
 
   /// Contiguous view over the out-edge indices of one node in the CSR
   /// adjacency. Iterable and indexable like the vector it replaces.
@@ -70,11 +76,6 @@ class Ceg {
     return {csr_index_.data() + csr_offsets_[node],
             csr_index_.data() + csr_offsets_[node + 1]};
   }
-
-  /// Builds the CSR adjacency now (it is otherwise built lazily on first
-  /// traversal). Call before sharing one CEG across threads: after
-  /// Finalize() every accessor is a pure read.
-  void Finalize() const { EnsureCsr(); }
 
   /// True iff the CEG has no directed cycles. CEG_O/CEG_OCR/CEG_D are
   /// always DAGs; CEG_M is not once projection edges are included.
@@ -134,6 +135,10 @@ class Ceg {
                                          bool* truncated = nullptr) const;
 
  private:
+  /// Every node in topological order (Kahn's algorithm); fails with
+  /// FailedPrecondition if the CEG has a directed cycle.
+  util::StatusOr<std::vector<uint32_t>> TopologicalOrder() const;
+
   /// Longest source-reachable path length (in edges), given a topological
   /// order; bounds the hop dimension of the DP tables.
   int MaxDepthFromSource(const std::vector<uint32_t>& topo) const;
@@ -141,10 +146,11 @@ class Ceg {
   /// (Re)builds the flat CSR adjacency (counting sort over edges_) if any
   /// mutation happened since the last build. The DP kernels iterate
   /// csr_index_ slices directly, so edge indices of one node are contiguous
-  /// in memory instead of one heap allocation per node.
+  /// in memory instead of one heap allocation per node. Unsynchronised: a
+  /// CEG is built and traversed by one thread (caches keep aggregates).
   void EnsureCsr() const;
 
-  std::vector<std::string> labels_;
+  uint32_t num_nodes_ = 0;
   std::vector<Edge> edges_;
   uint32_t source_ = 0;
   uint32_t sink_ = 0;

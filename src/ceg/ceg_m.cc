@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <string>
 
 namespace cegraph::ceg {
 
@@ -13,24 +12,12 @@ namespace {
 
 using query::VertexSet;
 
-std::string SetLabel(VertexSet w, uint32_t n) {
-  std::string label = "{";
-  for (uint32_t v = 0; v < n; ++v) {
-    if (w & (VertexSet{1} << v)) {
-      if (label.size() > 1) label += ",";
-      label += "a" + std::to_string(v);
-    }
-  }
-  return label + "}";
-}
-
 /// One usable degree statistic: from any W ⊇ x, reach W ∪ y at cost
 /// log_weight.
 struct ExtensionStat {
   VertexSet x;
   VertexSet y;
   double log_weight;
-  const stats::StatRelation* relation;
 };
 
 std::vector<ExtensionStat> CollectExtensionStats(
@@ -41,7 +28,7 @@ std::vector<ExtensionStat> CollectExtensionStats(
       const auto& [x, y] = key;
       if (x == y) continue;  // weight log(1) = 0 and adds nothing
       if (value <= 0) continue;
-      out.push_back({x, y, std::log2(value), &rel});
+      out.push_back({x, y, std::log2(value)});
     }
   }
   return out;
@@ -60,9 +47,7 @@ util::StatusOr<BuiltCegM> BuildCegM(const query::QueryGraph& q,
   const VertexSet full = (n == 32) ? ~VertexSet{0} : ((VertexSet{1} << n) - 1);
 
   BuiltCegM out;
-  for (VertexSet w = 0; w <= full; ++w) {
-    out.ceg.AddNode(SetLabel(w, n));
-  }
+  for (VertexSet w = 0; w <= full; ++w) out.ceg.AddNode();
   out.ceg.SetSource(0);
   out.ceg.SetSink(full);
 
@@ -72,16 +57,14 @@ util::StatusOr<BuiltCegM> BuildCegM(const query::QueryGraph& q,
       if ((ext.x & w1) != ext.x) continue;  // need W1 ⊇ X
       const VertexSet w2 = w1 | ext.y;
       if (w2 == w1) continue;
-      out.ceg.AddEdge(w1, w2, std::exp2(ext.log_weight),
-                      "deg(" + SetLabel(ext.x, n) + "," + SetLabel(ext.y, n) +
-                          "," + ext.relation->description + ")");
+      out.ceg.AddEdge(w1, w2, std::exp2(ext.log_weight));
     }
     if (options.include_projection_edges && w1 != 0) {
       // Single-attribute removals; chains of them realize every projection.
       for (uint32_t v = 0; v < n; ++v) {
         const VertexSet bit = VertexSet{1} << v;
         if (w1 & bit) {
-          out.ceg.AddEdge(w1, w1 & ~bit, 1.0, "proj");
+          out.ceg.AddEdge(w1, w1 & ~bit, 1.0, Ceg::EdgeKind::kProjection);
         }
       }
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <string>
 #include <vector>
 
 #include "query/subquery.h"
@@ -14,15 +13,15 @@ namespace {
 using query::EdgeSet;
 using query::QueryGraph;
 
-std::string SubsetLabel(EdgeSet s, uint32_t num_edges) {
-  std::string label = "{";
-  for (uint32_t i = 0; i < num_edges; ++i) {
-    if (s & (EdgeSet{1} << i)) {
-      if (label.size() > 1) label += ",";
-      label += "e" + std::to_string(i);
-    }
+/// "{e0,e2}": the query edges of `s`, by index.
+std::string SubsetText(EdgeSet s) {
+  std::string text = "{";
+  for (; s != 0; s &= s - 1) {
+    if (text.size() > 1) text += ",";
+    text += 'e';
+    text += std::to_string(std::countr_zero(s));
   }
-  return label + "}";
+  return text + "}";
 }
 
 }  // namespace
@@ -57,14 +56,13 @@ util::StatusOr<BuiltCegO> BuildCegO(const query::QueryGraph& q,
   };
 
   BuiltCegO out;
-  out.ceg.ReserveNodes(static_cast<uint32_t>(subsets.size()) + 1);
   // Each node is extended by at most one candidate per pattern.
   out.ceg.ReserveEdges((subsets.size() + 1) * patterns.size());
-  const uint32_t source = out.ceg.AddNode("{}");
+  const uint32_t source = out.ceg.AddNode();
   out.ceg.SetSource(source);
   out.node_of_subset.emplace(0, source);
   for (EdgeSet s : subsets) {
-    out.node_of_subset.emplace(s, out.ceg.AddNode(SubsetLabel(s, q.num_edges())));
+    out.node_of_subset.emplace(s, out.ceg.AddNode());
   }
   out.ceg.SetSink(out.node_of_subset.at(all));
 
@@ -84,7 +82,6 @@ util::StatusOr<BuiltCegO> BuildCegO(const query::QueryGraph& q,
   for (EdgeSet s : nodes_to_expand) {
     if (s == all) continue;
     std::vector<Candidate> candidates;
-    const int s_size = std::popcount(s);
 
     for (EdgeSet e : patterns) {
       const EdgeSet i = e & s;
@@ -142,16 +139,13 @@ util::StatusOr<BuiltCegO> BuildCegO(const query::QueryGraph& q,
         });
       }
     }
-    (void)s_size;
 
     for (const Candidate& c : candidates) {
       auto e_card = cardinality(c.pattern);
       if (!e_card.ok()) return e_card.status();
       double weight;
-      std::string label;
       if (c.intersection == 0) {
         weight = *e_card;
-        label = "|" + SubsetLabel(c.pattern, q.num_edges()) + "|";
       } else {
         auto i_card = cardinality(c.intersection);
         if (!i_card.ok()) return i_card.status();
@@ -162,17 +156,28 @@ util::StatusOr<BuiltCegO> BuildCegO(const query::QueryGraph& q,
         } else {
           weight = *e_card / *i_card;
         }
-        label = "|" + SubsetLabel(c.pattern, q.num_edges()) + "|/|" +
-                SubsetLabel(c.intersection, q.num_edges()) + "|";
       }
       out.ceg.AddEdge(out.node_of_subset.at(s),
-                      out.node_of_subset.at(c.target), weight,
-                      std::move(label));
+                      out.node_of_subset.at(c.target), weight);
       out.edge_provenance.push_back({c.pattern, c.intersection});
     }
   }
 
   return out;
+}
+
+std::string DescribeEdge(const BuiltCegO& built, uint32_t edge_index) {
+  const BuiltCegO::EdgeProvenance& p = built.edge_provenance[edge_index];
+  if (built.ceg.edges()[edge_index].kind == Ceg::EdgeKind::kClosingRate) {
+    // The rewritten edge adds exactly the closing query edge.
+    std::string text = "closing-rate(e";
+    text += std::to_string(std::countr_zero(p.pattern & ~p.intersection));
+    return text + ")";
+  }
+  std::string text = "|";
+  text += SubsetText(p.pattern) + "|";
+  if (p.intersection != 0) text += "/|" + SubsetText(p.intersection) + "|";
+  return text;
 }
 
 }  // namespace cegraph::ceg

@@ -1,6 +1,7 @@
 #ifndef CEGRAPH_CEG_CEG_O_H_
 #define CEGRAPH_CEG_CEG_O_H_
 
+#include <string>
 #include <unordered_map>
 
 #include "ceg/ceg.h"
@@ -31,7 +32,8 @@ struct BuiltCegO {
   /// Provenance per CEG edge (aligned with ceg.edges()): the extension
   /// pattern E and the intersection I = E ∩ S behind the edge's weight
   /// (I = 0 for first hops). Consumed by estimators that re-weight edges,
-  /// e.g. the dispersion-guided path pick (§8 future work).
+  /// e.g. the dispersion-guided path pick (§8 future work), and by
+  /// DescribeEdge.
   struct EdgeProvenance {
     query::EdgeSet pattern = 0;
     query::EdgeSet intersection = 0;
@@ -49,6 +51,12 @@ struct BuiltCegO {
 util::StatusOr<BuiltCegO> BuildCegO(const query::QueryGraph& q,
                                     const stats::MarkovTable& markov,
                                     const CegOOptions& options = {});
+
+/// One edge of `built` as the formula behind its weight, in the query's
+/// edge numbering: "|{e0,e1}|" for a first hop, "|{e0,e1}|/|{e1}|" for an
+/// extension rate |E|/|I|, and "closing-rate(e3)" for an edge CEG_OCR
+/// re-weighted with the closing probability of query edge e3.
+std::string DescribeEdge(const BuiltCegO& built, uint32_t edge_index);
 
 }  // namespace cegraph::ceg
 

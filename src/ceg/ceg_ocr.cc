@@ -19,8 +19,7 @@ using query::QVertex;
 /// If adding query edge `close` to sub-query S completes a cycle of length
 /// > h entirely contained in S ∪ {close}, returns that cycle's edge set
 /// (smallest such cycle); otherwise 0.
-EdgeSet FindClosedLongCycle(const QueryGraph& q,
-                            const std::vector<EdgeSet>& cycles, EdgeSet s,
+EdgeSet FindClosedLongCycle(const std::vector<EdgeSet>& cycles, EdgeSet s,
                             uint32_t close, int h) {
   const EdgeSet close_bit = EdgeSet{1} << close;
   EdgeSet best = 0;
@@ -35,7 +34,6 @@ EdgeSet FindClosedLongCycle(const QueryGraph& q,
       best_len = len;
     }
   }
-  (void)q;
   return best;
 }
 
@@ -100,9 +98,7 @@ util::StatusOr<BuiltCegO> BuildCegOcr(const query::QueryGraph& q,
   // Rebuild the CEG, rewriting weights of cycle-closing single-edge
   // extensions. (Ceg edges are immutable; we reconstruct.)
   Ceg rewritten;
-  for (uint32_t v = 0; v < built->ceg.num_nodes(); ++v) {
-    rewritten.AddNode(built->ceg.node_label(v));
-  }
+  for (uint32_t v = 0; v < built->ceg.num_nodes(); ++v) rewritten.AddNode();
   rewritten.SetSource(built->ceg.source());
   rewritten.SetSink(built->ceg.sink());
 
@@ -111,18 +107,18 @@ util::StatusOr<BuiltCegO> BuildCegOcr(const query::QueryGraph& q,
     const EdgeSet target = subset_of_node[e.to];
     const EdgeSet added = target & ~s;
     double weight = std::exp2(e.log_weight);
-    std::string label = e.label;
+    Ceg::EdgeKind kind = e.kind;
     if (s != 0 && std::popcount(added) == 1) {
       const uint32_t close =
           static_cast<uint32_t>(std::countr_zero(added));
-      const EdgeSet cycle = FindClosedLongCycle(q, cycles, s, close, h);
+      const EdgeSet cycle = FindClosedLongCycle(cycles, s, close, h);
       if (cycle != 0) {
         const stats::ClosingKey key = MakeClosingKey(q, cycle, close);
         weight = rates.Rate(key);
-        label = "closing-rate(e" + std::to_string(close) + ")";
+        kind = Ceg::EdgeKind::kClosingRate;
       }
     }
-    rewritten.AddEdge(e.from, e.to, weight, std::move(label));
+    rewritten.AddEdge(e.from, e.to, weight, kind);
   }
 
   built->ceg = std::move(rewritten);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ceg/ceg_ocr.h"
-
 namespace cegraph::engine {
 
 namespace {
@@ -37,20 +35,16 @@ util::StatusOr<std::shared_ptr<const CachedCeg>> CegCache::GetOrBuild(
   }
 
   // Build outside the lock; two threads racing on the same cold class
-  // build identical entries and the second insert is dropped.
-  util::StatusOr<ceg::BuiltCegO> built =
-      kind == OptimisticCeg::kCegOcr
-          ? (rates == nullptr
-                 ? util::StatusOr<ceg::BuiltCegO>(util::InvalidArgumentError(
-                       "CEG_OCR requires cycle-closing rates"))
-                 : ceg::BuildCegOcr(q, markov, *rates, options))
-          : ceg::BuildCegO(q, markov, options);
+  // build identical entries and the second insert is dropped. Only the
+  // aggregates are kept: the CEG is freed when this call returns.
+  OptimisticSpec spec;
+  spec.ceg_kind = kind;
+  spec.ceg_options = options;
+  auto built = OptimisticEstimator(markov, spec, rates).BuildCeg(q);
   if (!built.ok()) return built.status();
+  auto aggregates = built->ceg.ComputeAggregates();
 
   auto entry = std::make_shared<CachedCeg>();
-  entry->built = std::move(built).value();
-  entry->built.ceg.Finalize();  // traversals are pure reads from here on
-  auto aggregates = entry->built.ceg.ComputeAggregates();
   if (aggregates.ok()) {
     entry->aggregates_ok = true;
     entry->aggregates = std::move(aggregates).value();
@@ -84,22 +78,20 @@ util::StatusOr<std::shared_ptr<const CachedCeg>> CegCache::GetOrBuild(
   return it->second.ceg;
 }
 
+bool CegCache::Entry::Affected(const std::vector<bool>& changed_labels,
+                               bool evict_all_ocr) const {
+  if (evict_all_ocr && ocr) return true;
+  return std::any_of(labels.begin(), labels.end(), [&](graph::Label l) {
+    return l < changed_labels.size() && changed_labels[l];
+  });
+}
+
 size_t CegCache::EvictAffected(const std::vector<bool>& changed_labels,
                                bool evict_all_ocr) {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t erased = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    const Entry& entry = it->second;
-    bool affected = evict_all_ocr && entry.ocr;
-    if (!affected) {
-      for (graph::Label l : entry.labels) {
-        if (l < changed_labels.size() && changed_labels[l]) {
-          affected = true;
-          break;
-        }
-      }
-    }
-    if (affected) {
+    if (it->second.Affected(changed_labels, evict_all_ocr)) {
       it = entries_.erase(it);
       ++erased;
     } else {
@@ -120,16 +112,7 @@ size_t CegCache::CarryFrom(const CegCache& src,
   size_t carried = 0;
   size_t skipped = 0;
   for (const auto& [key, entry] : src.entries_) {
-    bool affected = evict_all_ocr && entry.ocr;
-    if (!affected) {
-      for (graph::Label l : entry.labels) {
-        if (l < changed_labels.size() && changed_labels[l]) {
-          affected = true;
-          break;
-        }
-      }
-    }
-    if (affected) {
+    if (entry.Affected(changed_labels, evict_all_ocr)) {
       ++skipped;
       continue;
     }

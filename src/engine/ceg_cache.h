@@ -18,20 +18,16 @@
 
 namespace cegraph::engine {
 
-/// One cached CEG build shared by every consumer of the same query class:
-/// the 9 optimistic estimators, the P* oracle and the bound sketch all read
-/// the same entry instead of re-running BuildCegO/BuildCegOcr.
+/// What one CEG build leaves behind for every consumer of the same query
+/// class: the path aggregates the optimistic estimators of one CEG kind
+/// read instead of re-running BuildCegO/BuildCegOcr. Every optimistic
+/// estimate is a statistic over the CEG's path weights (§4), so the CEG
+/// itself is dropped as soon as they are computed.
 ///
 /// Entries are keyed by the query's *canonical* code, so isomorphic queries
 /// across a workload share one build (CEG weights are pattern cardinalities,
-/// which are isomorphism-invariant). The flip side: `built.node_of_subset`
-/// and `built.edge_provenance` are numbered in the *representative* query's
-/// edge order — consumers that need per-edge provenance for a specific
-/// query must map through an isomorphism, while aggregate/path-weight
-/// consumers (everything in this repo) can read them directly.
+/// which are isomorphism-invariant).
 struct CachedCeg {
-  ceg::BuiltCegO built;
-  /// Path aggregates over the CEG, computed once at insert time.
   bool aggregates_ok = false;
   util::Status aggregates_status;    ///< set iff !aggregates_ok
   ceg::Ceg::PathAggregates aggregates;  ///< valid iff aggregates_ok
@@ -39,8 +35,7 @@ struct CachedCeg {
 
 /// Thread-safe per-graph cache of CEG builds, keyed by (query canonical
 /// code, CEG kind, Markov h, construction-rule bits). Entries are immutable
-/// after insert (the CEG is finalized so traversals are pure reads) and
-/// shared via shared_ptr, so readers never block builders.
+/// after insert and shared via shared_ptr, so readers never block builders.
 ///
 /// For the dynamic layer every entry records the distinct edge labels of
 /// its query and whether it is an OCR build, so EvictAffected can drop
@@ -52,9 +47,10 @@ class CegCache {
   CegCache(const CegCache&) = delete;
   CegCache& operator=(const CegCache&) = delete;
 
-  /// Returns the cached CEG of `q`'s isomorphism class under (kind,
-  /// options), building (and caching) it on miss. `rates` is required iff
-  /// kind == kCegOcr. Build failures are returned and not cached.
+  /// Returns the cached aggregates of `q`'s isomorphism class under
+  /// (kind, options), building the CEG (and caching its aggregates) on
+  /// miss. `rates` is required iff kind == kCegOcr. Build failures are
+  /// returned and not cached.
   util::StatusOr<std::shared_ptr<const CachedCeg>> GetOrBuild(
       const query::QueryGraph& q, const stats::MarkovTable& markov,
       OptimisticCeg kind, const stats::CycleClosingRates* rates = nullptr,
@@ -99,6 +95,11 @@ class CegCache {
     /// Distinct edge labels of the query, sorted — the invalidation index.
     std::vector<graph::Label> labels;
     bool ocr = false;
+
+    /// True iff a delta that changed `changed_labels` invalidates this
+    /// entry (see EvictAffected).
+    bool Affected(const std::vector<bool>& changed_labels,
+                  bool evict_all_ocr) const;
   };
 
   mutable std::mutex mutex_;

@@ -1,6 +1,11 @@
 #include "engine/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -35,13 +40,42 @@ util::StatusOr<std::string> ReadFileBytes(const std::string& path) {
   return std::move(buffer).str();
 }
 
+/// Replaces `path` with `bytes` atomically: the bytes go to a fresh file
+/// in the same directory, which is fsynced and renamed over `path`, and
+/// then the directory is fsynced. The old file is never truncated, so a
+/// process that mapped it keeps reading its own pages (the old inode lives
+/// until unmapped), and a crash leaves either the old file or the new one.
 util::Status WriteFileBytes(const std::string& path,
                             const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return util::InternalError("cannot open " + path + " for write");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) return util::InternalError("write error on " + path);
+  static std::atomic<uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) return util::InternalError("cannot open " + tmp + " for write");
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<size_t>(n);
+  }
+  const bool synced = written == bytes.size() && ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    ::unlink(tmp.c_str());
+    return util::InternalError("write error on " + tmp);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return util::InternalError("cannot rename " + tmp + " to " + path);
+  }
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool dir_synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (!dir_synced) return util::InternalError("cannot fsync " + dir);
   return util::Status::OK();
 }
 

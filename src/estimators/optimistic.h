@@ -53,8 +53,8 @@ class OptimisticEstimator : public CardinalityEstimator {
 
   util::StatusOr<double> Estimate(const query::QueryGraph& q) const override;
 
-  /// Builds the spec's CEG for `q` (shared by Estimate, the P* oracle and
-  /// the bound sketch).
+  /// Builds the spec's CEG for `q` (shared by Estimate, the engine's CEG
+  /// cache and the harness's P* oracle).
   util::StatusOr<ceg::BuiltCegO> BuildCeg(const query::QueryGraph& q) const;
 
   /// Reduces precomputed path aggregates to the spec's estimate.

@@ -63,8 +63,9 @@ SuiteResult RunEstimatorSuite(
     bool drop_on_any_failure = true);
 
 /// Runs the 9 optimistic estimators of §4.2 plus the P* oracle over one
-/// CEG kind, building each query's CEG exactly once (through an
-/// engine::CegCache). Reports come back in the paper's order (min/avg/max
+/// CEG kind. The estimators share one CEG build per query class (through
+/// an engine::CegCache); the oracle builds its own to enumerate paths.
+/// Reports come back in the paper's order (min/avg/max
 /// aggregator within max/min/all hops), with P* last. Thin wrapper over
 /// harness::WorkloadRunner.
 SuiteResult RunOptimisticSuite(const stats::MarkovTable& markov,

@@ -127,6 +127,7 @@ SuiteResult WorkloadRunner::RunOptimisticSuite(
     const std::vector<query::WorkloadQuery>& workload,
     size_t pstar_max_paths) const {
   const std::vector<OptimisticSpec> specs = AllOptimisticSpecs(kind);
+  const OptimisticEstimator pstar_ceg(markov, specs.front(), rates);
   const size_t n_q = workload.size();
   const size_t n_cols = specs.size() + 1;  // + P*
 
@@ -161,9 +162,13 @@ SuiteResult WorkloadRunner::RunOptimisticSuite(
       if (est.ok()) out.estimates[i] = *est;
     }
 
+    // The cache keeps aggregates only; the oracle enumerates paths of a
+    // CEG of its own.
     const double t2 = Now();
-    auto pstar = PStarEstimate(cached.built.ceg, wq.true_cardinality,
-                               pstar_max_paths);
+    auto built = pstar_ceg.BuildCeg(wq.query);
+    if (!built.ok()) return;
+    auto pstar =
+        PStarEstimate(built->ceg, wq.true_cardinality, pstar_max_paths);
     out.seconds[specs.size()] = Now() - t2;
     if (pstar.ok()) out.estimates[specs.size()] = *pstar;
   });

@@ -46,9 +46,11 @@ class WorkloadRunner {
       const std::vector<query::WorkloadQuery>& workload,
       bool drop_on_any_failure = true) const;
 
-  /// The 9 optimistic estimators + P* oracle over one CEG kind, fetching
-  /// each query's CEG through `cache` (exactly one build per query class
-  /// per kind; the cache's hit/miss counters expose that invariant).
+  /// The 9 optimistic estimators + P* oracle over one CEG kind. The
+  /// estimators read each query's path aggregates through `cache` (exactly
+  /// one build per query class per kind; the cache's hit/miss counters
+  /// expose that invariant); the oracle enumerates the paths of a CEG it
+  /// builds per query, since the cache keeps no CEG.
   SuiteResult RunOptimisticSuite(
       engine::CegCache& cache, const stats::MarkovTable& markov,
       const stats::CycleClosingRates* rates, OptimisticCeg kind,

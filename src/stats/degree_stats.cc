@@ -494,8 +494,6 @@ util::StatusOr<DegreeStats> DegreeStats::Build(const StatsCatalog& catalog,
   for (uint32_t ei = 0; ei < q.num_edges(); ++ei) {
     const query::QueryEdge& e = q.edge(ei);
     StatRelation rel;
-    rel.description = "edge" + std::to_string(ei) + "(label " +
-                      std::to_string(e.label) + ")";
     if (e.src == e.dst) {
       // Self-loop: the relation is constrained to the diagonal.
       rel.attrs = VertexSet{1} << e.src;
@@ -556,7 +554,6 @@ util::StatusOr<DegreeStats> DegreeStats::Build(const StatsCatalog& catalog,
       return out_set;
     };
     StatRelation rel;
-    rel.description = "join(" + pattern.CanonicalCode() + ")";
     rel.attrs = to_query((1u << pattern.num_vertices()) - 1);
     const uint32_t full = (1u << pattern.num_vertices()) - 1;
     for (uint32_t y = 0; y <= full; ++y) {

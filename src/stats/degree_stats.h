@@ -201,7 +201,6 @@ struct StatRelation {
   /// deg[(X, Y)] with X subset of Y subset of attrs (bitmasks over query
   /// vertices).
   std::map<std::pair<query::VertexSet, query::VertexSet>, double> deg;
-  std::string description;
 
   double Get(query::VertexSet x, query::VertexSet y) const {
     auto it = deg.find({x, y});

@@ -9,7 +9,7 @@ namespace cegraph::util {
 
 /// Renders aligned text tables for the benchmark harnesses. All bench
 /// binaries print their figure/table reproduction through this class so the
-/// output format is uniform and diff-able (EXPERIMENTS.md records it).
+/// output format is uniform and diff-able.
 class TablePrinter {
  public:
   /// Creates a table with the given column headers.

@@ -9,9 +9,10 @@
 // Correctness: an arena snapshot served in place must be bit-identical to
 // the v2 parse path and to a cold build for every registry estimator —
 // monolithic, sharded (including manifests mixing arena and v2 shard
-// files), and through the delta machinery (fresh attach + later deltas,
-// and stale loads that replay).
+// files), through the delta machinery (fresh attach + later deltas, and
+// stale loads that replay), and after a save over the mapped file.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
 #include <cstdio>
@@ -670,6 +671,48 @@ TEST(ArenaSnapshotTest, ArenaEmbedsReplayableDeltaLog) {
   EXPECT_TRUE(report.mapped);
   ExpectBitIdentical(AllEstimates(consumer, workload),
                      AllEstimates(producer, workload));
+}
+
+TEST(ArenaSnapshotTest, OverwritingAMappedSnapshotLeavesItsReadersIntact) {
+  const graph::Graph g = SmallGraph();
+  const auto workload = SmallWorkload(g);
+  TempDir dir("overwrite");
+  const std::string path = dir.File("v3.snap");
+  EstimationEngine cold(g);
+  Prewarm(cold, workload);
+  ASSERT_TRUE(cold.context().SaveSnapshot(path, SnapshotFormat::kArena).ok());
+
+  // A serves from the mapping before the overwrite; B maps the same file
+  // but reads it only afterwards, so its lookups hit the mapped pages then.
+  EstimationEngine a(g);
+  EstimationEngine b(g);
+  EstimationContext::SnapshotLoadReport report;
+  ASSERT_TRUE(a.context().LoadSnapshotMapped(path, &report).ok());
+  ASSERT_TRUE(report.mapped);
+  ASSERT_TRUE(b.context().LoadSnapshotMapped(path, &report).ok());
+  ASSERT_TRUE(report.mapped);
+  const std::vector<double> before = AllEstimates(a, workload);
+  struct stat old_file;
+  ASSERT_EQ(::stat(path.c_str(), &old_file), 0);
+
+  // A smaller snapshot (nothing computed yet) saved over the same path.
+  EstimationEngine empty(g);
+  ASSERT_TRUE(empty.context().SaveSnapshot(path, SnapshotFormat::kArena).ok());
+  struct stat new_file;
+  ASSERT_EQ(::stat(path.c_str(), &new_file), 0);
+  ASSERT_LT(new_file.st_size, old_file.st_size);
+  EXPECT_NE(new_file.st_ino, old_file.st_ino);
+
+  ExpectBitIdentical(AllEstimates(a, workload), before);
+  ExpectBitIdentical(AllEstimates(b, workload), before);
+
+  // The save left no temporary file behind.
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(path).parent_path())) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"v3.snap"});
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ TEST_F(CegMTest, ProjectionEdgesHaveZeroWeight) {
   ASSERT_TRUE(built.ok());
   int projections = 0;
   for (const auto& e : built->ceg.edges()) {
-    if (e.label == "proj") {
+    if (e.kind == Ceg::EdgeKind::kProjection) {
       ++projections;
       EXPECT_DOUBLE_EQ(e.log_weight, 0.0);
       // Projections remove exactly one attribute.
@@ -86,7 +86,7 @@ TEST_F(CegMTest, ProjectionEdgesHaveZeroWeight) {
   auto bare = BuildCegM(q, Stats(q), no_proj);
   ASSERT_TRUE(bare.ok());
   for (const auto& e : bare->ceg.edges()) {
-    EXPECT_NE(e.label, "proj");
+    EXPECT_NE(e.kind, Ceg::EdgeKind::kProjection);
   }
   EXPECT_TRUE(bare->ceg.IsDag());
   EXPECT_FALSE(built->ceg.IsDag());  // up+down edges create cycles

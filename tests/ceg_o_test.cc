@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "ceg/ceg_o.h"
 #include "ceg/ceg_ocr.h"
@@ -22,6 +25,32 @@ QueryGraph Q(uint32_t n, std::vector<query::QueryEdge> edges) {
 
 // Labels of the running example: A=0, B=1, C=2, D=3, E=4.
 constexpr graph::Label kA = 0, kB = 1, kC = 2, kD = 3, kE = 4;
+
+// The 60-vertex, two-label random graph of the cyclic tests below.
+Graph TwoLabelGraph() {
+  auto g = graph::GenerateGraph({.num_vertices = 60,
+                                 .num_edges = 400,
+                                 .num_labels = 2,
+                                 .num_types = 1,
+                                 .label_zipf_s = 1.0,
+                                 .preferential_p = 0.4,
+                                 .random_labels = true,
+                                 .seed = 11});
+  return std::move(g).value();
+}
+
+// The alternating-label 4-cycle a0 -0-> a1 -1-> a2 -0-> a3 -1-> a0.
+QueryGraph FourCycle() {
+  return Q(4, {{0, 1, 0}, {1, 2, 1}, {2, 3, 0}, {3, 0, 1}});
+}
+
+std::vector<std::string> DescribeAll(const BuiltCegO& built) {
+  std::vector<std::string> out;
+  for (uint32_t ei = 0; ei < built.ceg.num_edges(); ++ei) {
+    out.push_back(DescribeEdge(built, ei));
+  }
+  return out;
+}
 
 class CegOTest : public ::testing::Test {
  protected:
@@ -71,6 +100,49 @@ TEST_F(CegOTest, ForkQueryHasMultipleDistinctEstimates) {
   ASSERT_TRUE(agg.ok());
   EXPECT_GT(agg->path_count, 1.0);
   EXPECT_LT(std::exp2(agg->min_log), std::exp2(agg->max_log));
+}
+
+TEST_F(CegOTest, DescribeEdgeReproducesForkQueryFormulas) {
+  // Golden formulas of every CEG_O edge of the quickstart's Q5f fork, in
+  // edge order: seven first hops |E|, then extension rates |E|/|I|.
+  QueryGraph q = Q(6, {{0, 1, kA},
+                       {1, 2, kB},
+                       {2, 3, kC},
+                       {2, 4, kD},
+                       {2, 5, kE}});
+  auto built = BuildCegO(q, markov2_);
+  ASSERT_TRUE(built.ok());
+  const std::vector<std::string> expected = {
+      "|{e0,e1}|", "|{e1,e2}|", "|{e1,e3}|", "|{e2,e3}|", "|{e1,e4}|",
+      "|{e2,e4}|", "|{e3,e4}|", "|{e0,e1}|/|{e0}|", "|{e0,e1}|/|{e1}|",
+      "|{e1,e2}|/|{e1}|", "|{e1,e3}|/|{e1}|", "|{e1,e4}|/|{e1}|",
+      "|{e1,e2}|/|{e2}|", "|{e2,e3}|/|{e2}|", "|{e2,e4}|/|{e2}|",
+      "|{e1,e3}|/|{e3}|", "|{e2,e3}|/|{e3}|", "|{e3,e4}|/|{e3}|",
+      "|{e1,e4}|/|{e4}|", "|{e2,e4}|/|{e4}|", "|{e3,e4}|/|{e4}|",
+      "|{e1,e2}|/|{e1}|", "|{e1,e3}|/|{e1}|", "|{e1,e4}|/|{e1}|",
+      "|{e0,e1}|/|{e1}|", "|{e1,e3}|/|{e1}|", "|{e2,e3}|/|{e2}|",
+      "|{e1,e4}|/|{e1}|", "|{e2,e4}|/|{e2}|", "|{e0,e1}|/|{e1}|",
+      "|{e1,e2}|/|{e1}|", "|{e2,e3}|/|{e3}|", "|{e1,e4}|/|{e1}|",
+      "|{e3,e4}|/|{e3}|", "|{e1,e2}|/|{e2}|", "|{e1,e3}|/|{e3}|",
+      "|{e2,e4}|/|{e2}|", "|{e3,e4}|/|{e3}|", "|{e0,e1}|/|{e1}|",
+      "|{e1,e2}|/|{e1}|", "|{e1,e3}|/|{e1}|", "|{e2,e4}|/|{e4}|",
+      "|{e3,e4}|/|{e4}|", "|{e1,e2}|/|{e2}|", "|{e2,e3}|/|{e2}|",
+      "|{e1,e4}|/|{e4}|", "|{e3,e4}|/|{e4}|", "|{e1,e3}|/|{e3}|",
+      "|{e2,e3}|/|{e3}|", "|{e1,e4}|/|{e4}|", "|{e2,e4}|/|{e4}|",
+      "|{e1,e3}|/|{e1}|", "|{e2,e3}|/|{e2}|", "|{e1,e4}|/|{e1}|",
+      "|{e2,e4}|/|{e2}|", "|{e1,e2}|/|{e1}|", "|{e2,e3}|/|{e3}|",
+      "|{e1,e4}|/|{e1}|", "|{e3,e4}|/|{e3}|", "|{e0,e1}|/|{e1}|",
+      "|{e1,e4}|/|{e1}|", "|{e2,e4}|/|{e2}|", "|{e3,e4}|/|{e3}|",
+      "|{e1,e2}|/|{e1}|", "|{e1,e3}|/|{e1}|", "|{e2,e4}|/|{e4}|",
+      "|{e3,e4}|/|{e4}|", "|{e0,e1}|/|{e1}|", "|{e1,e3}|/|{e1}|",
+      "|{e2,e3}|/|{e2}|", "|{e3,e4}|/|{e4}|", "|{e0,e1}|/|{e1}|",
+      "|{e1,e2}|/|{e1}|", "|{e2,e3}|/|{e3}|", "|{e2,e4}|/|{e4}|",
+      "|{e1,e2}|/|{e2}|", "|{e1,e3}|/|{e3}|", "|{e1,e4}|/|{e4}|",
+      "|{e1,e4}|/|{e1}|", "|{e2,e4}|/|{e2}|", "|{e3,e4}|/|{e3}|",
+      "|{e1,e3}|/|{e1}|", "|{e2,e3}|/|{e2}|", "|{e3,e4}|/|{e4}|",
+      "|{e1,e2}|/|{e1}|", "|{e2,e3}|/|{e3}|", "|{e2,e4}|/|{e4}|",
+      "|{e0,e1}|/|{e1}|"};
+  EXPECT_EQ(DescribeAll(*built), expected);
 }
 
 TEST_F(CegOTest, DpAggregatesMatchEnumeration) {
@@ -144,19 +216,9 @@ TEST(CegOCyclicTest, CegOBreaksLargeCyclesIntoPaths) {
   // For a 4-cycle with h=3, CEG_O's estimate equals a path estimate: it
   // overestimates badly when paths far outnumber cycles. Just verify the
   // CEG builds and every bottom-to-top path exists (estimate > 0).
-  auto g = graph::GenerateGraph({.num_vertices = 60,
-                                 .num_edges = 400,
-                                 .num_labels = 2,
-                                 .num_types = 1,
-                                 .label_zipf_s = 1.0,
-                                 .preferential_p = 0.4,
-                                 .random_labels = true,
-                                 .seed = 11});
-  ASSERT_TRUE(g.ok());
-  stats::MarkovTable markov(*g, 3);
-  QueryGraph cyc = std::move(QueryGraph::Create(
-      4, {{0, 1, 0}, {1, 2, 1}, {2, 3, 0}, {3, 0, 1}})).value();
-  auto built = BuildCegO(cyc, markov);
+  const Graph g = TwoLabelGraph();
+  stats::MarkovTable markov(g, 3);
+  auto built = BuildCegO(FourCycle(), markov);
   ASSERT_TRUE(built.ok());
   auto agg = built->ceg.ComputeAggregates();
   ASSERT_TRUE(agg.ok());
@@ -164,19 +226,10 @@ TEST(CegOCyclicTest, CegOBreaksLargeCyclesIntoPaths) {
 }
 
 TEST(CegOcrTest, RewritesClosingEdgeWeights) {
-  auto g = graph::GenerateGraph({.num_vertices = 60,
-                                 .num_edges = 400,
-                                 .num_labels = 2,
-                                 .num_types = 1,
-                                 .label_zipf_s = 1.0,
-                                 .preferential_p = 0.4,
-                                 .random_labels = true,
-                                 .seed = 11});
-  ASSERT_TRUE(g.ok());
-  stats::MarkovTable markov(*g, 3);
-  stats::CycleClosingRates rates(*g);
-  QueryGraph cyc = std::move(QueryGraph::Create(
-      4, {{0, 1, 0}, {1, 2, 1}, {2, 3, 0}, {3, 0, 1}})).value();
+  const Graph g = TwoLabelGraph();
+  stats::MarkovTable markov(g, 3);
+  stats::CycleClosingRates rates(g);
+  const QueryGraph cyc = FourCycle();
 
   auto plain = BuildCegO(cyc, markov);
   auto ocr = BuildCegOcr(cyc, markov, rates);
@@ -193,14 +246,40 @@ TEST(CegOcrTest, RewritesClosingEdgeWeights) {
   ASSERT_TRUE(ocr_agg.ok());
   EXPECT_LT(ocr_agg->max_log, plain_agg->max_log);
 
-  // Some edge labels must record the rewrite.
-  bool found_rewrite = false;
-  for (const auto& e : ocr->ceg.edges()) {
-    if (e.label.find("closing-rate") != std::string::npos) {
-      found_rewrite = true;
-    }
-  }
-  EXPECT_TRUE(found_rewrite);
+  // The rewritten edges, and only those, are marked as closing rates.
+  auto closing = [](const BuiltCegO& built) {
+    return std::count_if(built.ceg.edges().begin(), built.ceg.edges().end(),
+                         [](const Ceg::Edge& e) {
+                           return e.kind == Ceg::EdgeKind::kClosingRate;
+                         });
+  };
+  EXPECT_GT(closing(*ocr), 0);
+  EXPECT_EQ(closing(*plain), 0);
+}
+
+TEST(CegOcrTest, DescribeEdgeNamesClosingRates) {
+  // Golden formulas of every CEG_OCR edge of the 4-cycle, in edge order;
+  // the last eight close the cycle with a sampled probability.
+  const Graph g = TwoLabelGraph();
+  stats::MarkovTable markov(g, 3);
+  stats::CycleClosingRates rates(g);
+  auto built = BuildCegOcr(FourCycle(), markov, rates);
+  ASSERT_TRUE(built.ok());
+  const std::vector<std::string> expected = {
+      "|{e0,e1,e2}|", "|{e0,e1,e3}|", "|{e0,e2,e3}|", "|{e1,e2,e3}|",
+      "|{e0,e1}|/|{e0}|", "|{e0,e3}|/|{e0}|", "|{e0,e1,e2}|/|{e0}|",
+      "|{e0,e1,e3}|/|{e0}|", "|{e0,e2,e3}|/|{e0}|", "|{e0,e1}|/|{e1}|",
+      "|{e1,e2}|/|{e1}|", "|{e0,e1,e2}|/|{e1}|", "|{e0,e1,e3}|/|{e1}|",
+      "|{e1,e2,e3}|/|{e1}|", "|{e1,e2}|/|{e2}|", "|{e2,e3}|/|{e2}|",
+      "|{e0,e1,e2}|/|{e2}|", "|{e0,e2,e3}|/|{e2}|", "|{e1,e2,e3}|/|{e2}|",
+      "|{e0,e3}|/|{e3}|", "|{e2,e3}|/|{e3}|", "|{e0,e1,e3}|/|{e3}|",
+      "|{e0,e2,e3}|/|{e3}|", "|{e1,e2,e3}|/|{e3}|", "|{e0,e2,e3}|/|{e0}|",
+      "|{e1,e2,e3}|/|{e1}|", "|{e0,e1,e3}|/|{e1}|", "|{e0,e2,e3}|/|{e2}|",
+      "|{e0,e1,e2}|/|{e0}|", "|{e1,e2,e3}|/|{e3}|", "|{e0,e1,e2}|/|{e2}|",
+      "|{e0,e1,e3}|/|{e3}|", "closing-rate(e3)", "closing-rate(e3)",
+      "closing-rate(e2)", "closing-rate(e2)", "closing-rate(e1)",
+      "closing-rate(e1)", "closing-rate(e0)", "closing-rate(e0)"};
+  EXPECT_EQ(DescribeAll(*built), expected);
 }
 
 TEST(CegOcrTest, AcyclicQueryUnchanged) {

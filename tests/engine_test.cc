@@ -130,21 +130,44 @@ TEST_F(EngineTest, CegCacheSharesIsomorphicQueries) {
 }
 
 TEST_F(EngineTest, CegCacheEntryExposesAggregates) {
+  // A 2-path and an alternating-label 4-cycle (longer than h, so CEG_OCR
+  // re-weights its closing edges) on a graph with both labels in cycles.
+  auto g = graph::GenerateGraph({.num_vertices = 60,
+                                 .num_edges = 400,
+                                 .num_labels = 2,
+                                 .num_types = 1,
+                                 .label_zipf_s = 1.0,
+                                 .preferential_p = 0.4,
+                                 .random_labels = true,
+                                 .seed = 11});
+  ASSERT_TRUE(g.ok());
+  EstimationEngine engine(*g);
+  const stats::MarkovTable& markov = engine.context().markov();
+  const stats::CycleClosingRates& rates =
+      engine.context().cycle_closing_rates();
+  const QueryGraph queries[] = {
+      Q(3, {{0, 1, kA}, {1, 2, kB}}),
+      Q(4, {{0, 1, kA}, {1, 2, kB}, {2, 3, kA}, {3, 0, kB}}),
+  };
   CegCache cache;
-  const QueryGraph q = Q(3, {{0, 1, kA}, {1, 2, kB}});
-  auto entry =
-      cache.GetOrBuild(q, engine_.context().markov(), OptimisticCeg::kCegO);
-  ASSERT_TRUE(entry.ok());
-  ASSERT_TRUE((*entry)->aggregates_ok);
-  EXPECT_TRUE((*entry)->aggregates.reachable);
-  // The cached aggregates reproduce the direct estimator.
-  OptimisticEstimator direct(engine_.context().markov(), OptimisticSpec{});
-  auto from_cache = OptimisticEstimator::EstimateFromAggregates(
-      (*entry)->aggregates, OptimisticSpec{});
-  auto from_direct = direct.Estimate(q);
-  ASSERT_TRUE(from_cache.ok());
-  ASSERT_TRUE(from_direct.ok());
-  EXPECT_DOUBLE_EQ(*from_cache, *from_direct);
+  for (OptimisticCeg kind : {OptimisticCeg::kCegO, OptimisticCeg::kCegOcr}) {
+    for (const QueryGraph& q : queries) {
+      auto entry = cache.GetOrBuild(q, markov, kind, &rates);
+      ASSERT_TRUE(entry.ok());
+      ASSERT_TRUE((*entry)->aggregates_ok);
+      EXPECT_TRUE((*entry)->aggregates.reachable);
+      // The cached aggregates reproduce a cold estimator bit for bit.
+      for (const OptimisticSpec& spec : AllOptimisticSpecs(kind)) {
+        auto from_cache = OptimisticEstimator::EstimateFromAggregates(
+            (*entry)->aggregates, spec);
+        auto from_cold = OptimisticEstimator(markov, spec, &rates).Estimate(q);
+        ASSERT_TRUE(from_cache.ok()) << SpecName(spec);
+        ASSERT_TRUE(from_cold.ok()) << SpecName(spec);
+        EXPECT_EQ(*from_cache, *from_cold) << SpecName(spec);
+      }
+    }
+  }
+  EXPECT_EQ(cache.misses(), 4u);
 }
 
 // --- WorkloadRunner ---------------------------------------------------------
